@@ -35,7 +35,15 @@ from .fixtures import (
     RotatedRasterFixture,
     make_fixture,
 )
-from .graph import GraphConfig, SimilarityGraph, build_knn_graph, dump_edges, estimate_sigma, normalize_similarity
+from .graph import (
+    GalleryIndex,
+    GraphConfig,
+    SimilarityGraph,
+    build_knn_graph,
+    dump_edges,
+    estimate_sigma,
+    normalize_similarity,
+)
 from .labelprop import LPConfig, lp_classify_majority, lp_cost, lp_iterate, lp_solve
 from .smoothing import (
     ClassScores,

@@ -4,17 +4,26 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import resample_set
-from .graph import GraphConfig, build_knn_graph
+from .data import DataError, resample_set
+from .graph import GalleryIndex, GraphConfig, build_knn_graph
 from .labelprop import lp_solve, row_labels
 from .smoothing import masc_classify, one_hot_labels
-from .statdist import fit_gaussian, kl_gaussian, symmetric_kl
-from .subspace import gaussian_kernel, kmsm_similarity, kpca_subspace, msm_similarity, pca_subspace
+from .statdist import FactoredGaussian, fit_gaussian, kl_gaussian, symmetric_kl
+from .subspace import (
+    PCAFit,
+    gaussian_kernel,
+    kmsm_similarity,
+    kpca_subspace,
+    msm_similarity,
+    pca_fit,
+    pca_subspace,
+)
 
 CLASSIFIERS = ("masc", "lp", "msm", "kmsm", "kld")
 
@@ -49,25 +58,110 @@ def resolve_threads(threads: int | None = None) -> int:
 
 
 def _check_sets(train_sets, observations):
-    sets = [np.atleast_2d(np.asarray(ts, dtype=float)) for ts in train_sets]
-    obs = np.atleast_2d(np.asarray(observations, dtype=float))
+    """Float arrays of the class sets and observations, or DataError."""
+    sets = [np.asarray(ts, dtype=float) for ts in train_sets]
+    obs = np.asarray(observations, dtype=float)
+    if not sets:
+        raise DataError("no classes given")
+    named = [(f"class {p}", ts) for p, ts in enumerate(sets, start=1)]
+    for what, xs in named + [("observation set", obs)]:
+        if xs.ndim != 2:
+            raise DataError(f"{what} must be a 2-D (samples, features) array, got {xs.ndim}-D")
+        if xs.shape[0] < 1:
+            raise DataError(f"{what} has no samples")
+        if xs.shape[1] < 1:
+            raise DataError(f"{what} has no features")
+        if not np.isfinite(xs).all():
+            raise DataError(f"{what} has a non-finite value")
     d = obs.shape[1]
-    for p, ts in enumerate(sets, start=1):
-        if ts.shape[0] < 1:
-            raise ValueError(f"class {p} has no labelled samples")
+    for what, ts in named:
         if ts.shape[1] != d:
-            raise ValueError(f"class {p} dimension {ts.shape[1]} != {d}")
+            raise DataError(f"{what} dimension {ts.shape[1]} != {d}")
     return sets, obs
 
 
-def _graph_inputs(train_sets, observations):
+class _Gallery:
+    """One labelled block and what the classifiers derive from it alone.
+
+    Holds a read-only copy of the class sets, stacked in class order. The
+    graph index and the per-class fits are built on first use and never
+    change after that.
+    """
+
+    def __init__(self, sets):
+        self.X = np.vstack(sets)
+        self.X.setflags(write=False)
+        self.sets, start = [], 0
+        for ts in sets:
+            self.sets.append(self.X[start:start + len(ts)])
+            start += len(ts)
+        self._parts = {}
+        self._lock = threading.Lock()
+
+    def matches(self, sets) -> bool:
+        return (len(sets) == len(self.sets)
+                and all(a.shape == b.shape for a, b in zip(sets, self.sets))
+                and all(np.array_equal(a, b) for a, b in zip(sets, self.sets)))
+
+    def _part(self, key, build):
+        with self._lock:
+            if key not in self._parts:
+                self._parts[key] = build()
+            return self._parts[key]
+
+    def labels(self) -> np.ndarray:
+        """One-hot class labels of the stacked rows."""
+        c = len(self.sets)
+        return self._part("labels", lambda: one_hot_labels(
+            np.repeat(np.arange(1, c + 1), [len(ts) for ts in self.sets]), c))
+
+    def index(self) -> GalleryIndex:
+        return self._part("index", lambda: GalleryIndex(self.X))
+
+    def pca_fits(self, q: int) -> list[PCAFit]:
+        """Each class's leading q principal directions."""
+        return self._part(("pca", q), lambda: [pca_fit(ts, q) for ts in self.sets])
+
+    def gaussians(self, energy_cutoff: float) -> list[FactoredGaussian]:
+        """Each class's Gaussian fit, kept as its mean and Cholesky factor."""
+        return self._part(("kld", energy_cutoff), lambda: [
+            fit_gaussian(ts, energy_cutoff).factored() for ts in self.sets])
+
+    def graph(self, obs, config: GraphConfig):
+        """The k-NN graph over the gallery rows followed by ``obs``."""
+        return build_knn_graph(np.vstack([self.X, obs]), config, self.index())
+
+
+class _LatestGallery:
+    """One slot holding the gallery of the most recent query.
+
+    The slot is shared by every classifier in the process, so the five
+    classifiers of one protocol reuse one gallery's work. A query finds the
+    slot's gallery only if its class sets have the same shapes and values,
+    compared against the slot's own copy, so changing an array in place
+    between calls can never return stale fits.
+    """
+
+    def __init__(self):
+        self._gallery = None
+        self._lock = threading.Lock()
+
+    def lookup(self, sets) -> _Gallery:
+        with self._lock:
+            gallery = self._gallery
+        if gallery is None or not gallery.matches(sets):
+            gallery = _Gallery(sets)
+            with self._lock:
+                self._gallery = gallery
+        return gallery
+
+
+_LATEST = _LatestGallery()
+
+
+def _query(train_sets, observations):
     sets, obs = _check_sets(train_sets, observations)
-    X = np.vstack(sets + [obs])
-    labels = np.concatenate(
-        [np.full(ts.shape[0], p, dtype=int) for p, ts in enumerate(sets, start=1)]
-    )
-    c = len(sets)
-    return X, one_hot_labels(labels, c), obs.shape[0], c
+    return _LATEST.lookup(sets), obs
 
 
 def _argmax_decision(scores) -> tuple[int, bool]:
@@ -94,9 +188,12 @@ def make_classifier(name: str, *, k: int = 5, sigma: float | None = None,
                     kld_symmetric: bool = True):
     """Callable (train_sets, observations) -> Decision for one classifier id.
 
-    For the graph methods the samples are stacked labelled-first and a fresh
-    k-NN graph is built per observation set. The subspace dimension is capped
-    at (smallest set size - 1) so thin sets stay usable.
+    For the graph methods the samples are stacked labelled-first. Work that
+    depends on the class sets alone (gallery distances and k-NN lists, PCA
+    subspaces, Gaussian fits) is done once per gallery and reused while
+    queries keep arriving with the same sets; see :class:`_LatestGallery`.
+    The subspace dimension is capped at (smallest set size - 1) so thin sets
+    stay usable.
     """
     if name not in CLASSIFIERS:
         raise ValueError(f"unknown classifier {name!r} (choose from {CLASSIFIERS})")
@@ -105,15 +202,17 @@ def make_classifier(name: str, *, k: int = 5, sigma: float | None = None,
 
     if name == "masc":
         def classify(train_sets, observations):
-            X, Y_l, m, _ = _graph_inputs(train_sets, observations)
-            g = build_knn_graph(X, graph_config)
-            res = masc_classify(g.S, Y_l, m)
+            gallery, obs = _query(train_sets, observations)
+            g = gallery.graph(obs, graph_config)
+            res = masc_classify(g.S, gallery.labels(), obs.shape[0])
             return Decision(res.decision, tuple(float(v) for v in res.scores), res.tie)
 
     elif name == "lp":
         def classify(train_sets, observations):
-            X, Y_l, m, c = _graph_inputs(train_sets, observations)
-            g = build_knn_graph(X, graph_config)
+            gallery, obs = _query(train_sets, observations)
+            Y_l = gallery.labels()
+            m, c = obs.shape[0], Y_l.shape[1]
+            g = gallery.graph(obs, graph_config)
             Y = np.vstack([Y_l, np.zeros((m, c))])
             M = lp_solve(g.S, Y, mu)
             votes = row_labels(M[-m:])
@@ -123,35 +222,33 @@ def make_classifier(name: str, *, k: int = 5, sigma: float | None = None,
 
     elif name == "msm":
         def classify(train_sets, observations):
-            sets, obs = _check_sets(train_sets, observations)
-            q_eff = _subspace_q(q, sets, obs)
+            gallery, obs = _query(train_sets, observations)
+            q_eff = _subspace_q(q, gallery.sets, obs)
             test = pca_subspace(obs, q_eff)
-            sims = [msm_similarity(pca_subspace(ts, q_eff), test, msm_top)
-                    for ts in sets]
+            sims = [msm_similarity(fit.subspace(q_eff), test, msm_top)
+                    for fit in gallery.pca_fits(max(1, int(q)))]
             decision, tie = _argmax_decision(sims)
             return Decision(decision, tuple(sims), tie)
 
     elif name == "kmsm":
         def classify(train_sets, observations):
-            sets, obs = _check_sets(train_sets, observations)
-            q_eff = _subspace_q(q, sets, obs)
+            gallery, obs = _query(train_sets, observations)
+            q_eff = _subspace_q(q, gallery.sets, obs)
             skern = sigma_kernel
             if skern is None:
-                from .graph import estimate_sigma
-
-                skern = estimate_sigma(np.vstack(sets + [obs]), graph_config)
+                skern = gallery.index().sigma(obs, graph_config)
             kernel = gaussian_kernel(skern)
             test = kpca_subspace(obs, q_eff, kernel=kernel)
             sims = [kmsm_similarity(kpca_subspace(ts, q_eff, kernel=kernel), test, msm_top)
-                    for ts in sets]
+                    for ts in gallery.sets]
             decision, tie = _argmax_decision(sims)
             return Decision(decision, tuple(sims), tie)
 
     else:  # kld
         def classify(train_sets, observations):
-            sets, obs = _check_sets(train_sets, observations)
+            gallery, obs = _query(train_sets, observations)
             test = fit_gaussian(obs, energy_cutoff)
-            models = [fit_gaussian(ts, energy_cutoff) for ts in sets]
+            models = gallery.gaussians(energy_cutoff)
             if kld_symmetric:
                 scores = [symmetric_kl(test, mdl) for mdl in models]
             else:

@@ -53,10 +53,13 @@ def lp_solve(S, Y, mu: float = 1.0) -> np.ndarray:
     beta mu Y.
     """
     cfg = LPConfig(mu)
-    Sd = _dense(S)
+    # A = I - alpha S built in one n x n buffer (a copy, so dense input is
+    # left alone); each entry is rounded exactly as in the plain expression
+    A = np.asarray(S.toarray(), dtype=float) if sparse.issparse(S) else np.array(S, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    n = Sd.shape[0]
-    A = np.eye(n) - cfg.alpha * Sd
+    np.multiply(A, cfg.alpha, out=A)
+    np.subtract(0.0, A, out=A)
+    A[np.diag_indices_from(A)] += 1.0
     try:
         sol = np.linalg.solve(A, Y)
     except np.linalg.LinAlgError as exc:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -18,6 +19,31 @@ class GaussianModel:
     cov: np.ndarray
     energy_cutoff: float
     retained: int
+
+    @property
+    def dim(self) -> int:
+        return self.mean.shape[0]
+
+    @cached_property
+    def chol(self) -> np.ndarray:
+        """Lower Cholesky factor of ``cov``, factored on first use only."""
+        try:
+            return np.linalg.cholesky(self.cov)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("covariance factorization failed (not SPD)") from exc
+
+    def factored(self) -> FactoredGaussian:
+        """The mean and Cholesky factor alone, without the covariance."""
+        return FactoredGaussian(mean=self.mean, chol=self.chol)
+
+
+@dataclass(frozen=True)
+class FactoredGaussian:
+    """Mean and lower Cholesky factor of a covariance: all a KL divergence
+    reads, at half the memory of a :class:`GaussianModel` that keeps both."""
+
+    mean: np.ndarray
+    chol: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -59,7 +85,8 @@ def fit_gaussian(X, energy_cutoff: float = 0.96) -> GaussianModel:
                          retained=retained)
 
 
-def kl_gaussian(g1: GaussianModel, g2: GaussianModel) -> float:
+def kl_gaussian(g1: GaussianModel | FactoredGaussian,
+                g2: GaussianModel | FactoredGaussian) -> float:
     """Closed-form KL(g1 || g2) via the Cholesky factor of g2's covariance.
 
     (1/2) (tr(S2^-1 S1) + (m2-m1)^T S2^-1 (m2-m1) - d + ln det S2 - ln det S1).
@@ -67,11 +94,8 @@ def kl_gaussian(g1: GaussianModel, g2: GaussianModel) -> float:
     d = g1.dim
     if g2.dim != d:
         raise ValueError("dimension mismatch")
-    try:
-        L2 = np.linalg.cholesky(g2.cov)
-        L1 = np.linalg.cholesky(g1.cov)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("covariance factorization failed (not SPD)") from exc
+    L2 = g2.chol
+    L1 = g1.chol
     A = scipy.linalg.solve_triangular(L2, L1, lower=True)
     trace_term = float(np.sum(A * A))
     z = scipy.linalg.solve_triangular(L2, g2.mean - g1.mean, lower=True)
@@ -81,7 +105,8 @@ def kl_gaussian(g1: GaussianModel, g2: GaussianModel) -> float:
     return 0.5 * (trace_term + maha - d + logdet2 - logdet1)
 
 
-def symmetric_kl(g1: GaussianModel, g2: GaussianModel) -> float:
+def symmetric_kl(g1: GaussianModel | FactoredGaussian,
+                 g2: GaussianModel | FactoredGaussian) -> float:
     return 0.5 * (kl_gaussian(g1, g2) + kl_gaussian(g2, g1))
 
 

@@ -55,31 +55,50 @@ class KernelSubspace:
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Deterministic sign convention: largest-magnitude entry positive."""
     out = vectors.copy()
-    for j in range(out.shape[1]):
-        i = int(np.argmax(np.abs(out[:, j])))
-        if out[i, j] < 0:
-            out[:, j] = -out[:, j]
+    lead = out[np.argmax(np.abs(out), axis=0), np.arange(out.shape[1])]
+    flip = lead < 0
+    out[:, flip] = -out[:, flip]
     return out
 
 
-def pca_subspace(X, q: int) -> Subspace:
-    """Top-q eigenvectors of the mean-centered sample covariance.
+@dataclass(frozen=True)
+class PCAFit:
+    """Thin SVD of one mean-centered set; :meth:`subspace` slices it to any q
+    up to the number of directions kept."""
 
-    Computed through the thin SVD of the centered set, which is the Gram-side
-    eigenproblem when the set is smaller than the dimension.
-    """
+    mean: np.ndarray   # (d,)
+    svals: np.ndarray  # (r,), descending
+    Vt: np.ndarray     # (r, d), leading right singular vectors as rows
+    n: int
+
+    def subspace(self, q: int) -> Subspace:
+        """Top-q eigenvectors of the sample covariance."""
+        d = self.mean.shape[0]
+        limit = min(d, self.n - 1, self.svals.size)
+        if not 1 <= q <= limit:
+            raise ValueError(f"q must be in 1..{limit} for a {self.n}x{d} set, got {q}")
+        basis = _fix_signs(self.Vt[:q].T)
+        eigenvalues = self.svals[:q] ** 2 / (self.n - 1)
+        return Subspace(basis=basis, mean=self.mean, eigenvalues=eigenvalues)
+
+
+def pca_fit(X, rank: int | None = None) -> PCAFit:
+    """Thin SVD of the centered set, the Gram-side eigenproblem when the set
+    is smaller than the dimension; ``rank`` keeps only that many leading
+    directions."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValueError("need a 2-D set with at least 2 samples")
-    n, d = X.shape
-    limit = min(d, n - 1)
-    if not 1 <= q <= limit:
-        raise ValueError(f"q must be in 1..{limit} for a {n}x{d} set, got {q}")
     mean = X.mean(axis=0)
     _, svals, Vt = np.linalg.svd(X - mean, full_matrices=False)
-    basis = _fix_signs(Vt[:q].T)
-    eigenvalues = svals[:q] ** 2 / (n - 1)
-    return Subspace(basis=basis, mean=mean, eigenvalues=eigenvalues)
+    if rank is not None:
+        svals, Vt = svals[:rank].copy(), Vt[:rank].copy()
+    return PCAFit(mean=mean, svals=svals, Vt=Vt, n=X.shape[0])
+
+
+def pca_subspace(X, q: int) -> Subspace:
+    """Top-q eigenvectors of the mean-centered sample covariance."""
+    return pca_fit(X).subspace(q)
 
 
 def _basis(a) -> np.ndarray:

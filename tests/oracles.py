@@ -116,6 +116,53 @@ def brute_force_neighbors(X, k):
     return out
 
 
+def reference_sigma(X, config):
+    """Half the median of scipy's Euclidean distances over the seeded subsample."""
+    from scipy.spatial.distance import pdist
+
+    X = np.asarray(X, dtype=float)
+    rng = np.random.default_rng(config.sigma_seed)
+    take = min(X.shape[0], config.sigma_sample_cap)
+    idx = rng.choice(X.shape[0], size=take, replace=False)
+    median = float(np.median(pdist(X[idx])))
+    if median == 0.0:
+        raise ValueError("zero median distance")
+    return median / 2.0
+
+
+def reference_knn_graph(X, config):
+    """Dense O(n^2) k-NN graph over all of X: full squared-distance matrix,
+    per-row k-th smallest by partition, boundary ties trimmed to the smaller
+    indices. Degree normalization reuses the library's
+    ``normalize_similarity``, which this reference does not check."""
+    from scipy import sparse
+    from scipy.spatial.distance import pdist, squareform
+
+    from masc.graph import SimilarityGraph, normalize_similarity
+
+    X = np.asarray(X, dtype=float)
+    n = X.shape[0]
+    k = config.k
+    sigma = config.sigma if config.sigma is not None else reference_sigma(X, config)
+    d2 = squareform(pdist(X, "sqeuclidean"))
+    np.fill_diagonal(d2, np.inf)
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
+    adj = d2 <= kth[:, None]
+    for i in np.flatnonzero(adj.sum(axis=1) != k):
+        cand = np.flatnonzero(adj[i])
+        keep = cand[np.lexsort((cand, d2[i, cand]))][:k]
+        adj[i] = False
+        adj[i, keep] = True
+    np.fill_diagonal(d2, 0.0)
+    adj |= adj.T
+    rows, cols = np.nonzero(adj)
+    vals = np.exp(-d2[rows, cols] / (2.0 * sigma * sigma))
+    H = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    degrees = np.asarray(H.sum(axis=1)).ravel()
+    S = normalize_similarity(H, degrees)
+    return SimilarityGraph(n=n, H=H, degrees=degrees, S=S, sigma=float(sigma), k=k)
+
+
 def random_graph_instance(rng, n_max=30, c_max=5, d=4):
     """Random labelled/unlabelled point cloud plus a k-NN similarity graph.
 

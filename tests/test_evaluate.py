@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from masc.data import DataError
 from masc.evaluate import (
+    CLASSIFIERS,
     Decision,
     error_rate,
     make_classifier,
@@ -149,6 +151,35 @@ class TestSessionProtocols:
         gallery = [np.zeros((5, 2)), np.ones((5, 2))]
         with pytest.raises(ValueError, match="needs more than"):
             random_split_errors(gallery, make_classifier("kld"), 5, 1, 0)
+
+
+def _bad_inputs():
+    rng = np.random.default_rng(0)
+    train = [rng.normal(size=(6, 3)) + 4.0 * p for p in range(3)]
+    obs = rng.normal(size=(6, 3))
+    cases = []
+    for where in ("gallery", "observations"):
+        for bad in (np.nan, np.inf):
+            t, o = [ts.copy() for ts in train], obs.copy()
+            (t[1] if where == "gallery" else o)[2, 1] = bad
+            cases.append(pytest.param(t, o, "non-finite", id=f"{bad}-in-{where}"))
+    cases += [
+        pytest.param(train, obs[0], "2-D", id="1-D-observations"),
+        pytest.param([train[0][0]] + train[1:], obs, "2-D", id="1-D-class-set"),
+        pytest.param(train, np.empty((0, 3)), "no samples", id="empty-observations"),
+        pytest.param([train[0], np.empty((0, 3)), train[2]], obs, "no samples", id="empty-class-set"),
+        pytest.param([ts[:, :0] for ts in train], obs[:, :0], "no features", id="no-features"),
+        pytest.param([], obs, "no classes", id="no-classes"),
+        pytest.param(train, obs[:, :2], "dimension", id="dimension-mismatch"),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("name", CLASSIFIERS)
+@pytest.mark.parametrize("train,obs,match", _bad_inputs())
+def test_bad_inputs_are_data_errors(name, train, obs, match):
+    with pytest.raises(DataError, match=match):
+        make_classifier(name, k=3, q=2)(train, obs)
 
 
 def test_unknown_classifier_rejected():

@@ -1,0 +1,247 @@
+"""The per-gallery cache gives the same bytes as building everything afresh.
+
+Graphs are compared with the dense reference builder in ``oracles``;
+decisions with a reference path that fits and factors every set per call.
+"""
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from masc.evaluate import CLASSIFIERS, Decision, make_classifier
+from masc.fixtures import (
+    CurvedManifoldConfig,
+    CurvedManifoldFixture,
+    RotatedRasterConfig,
+    RotatedRasterFixture,
+)
+from masc.graph import GalleryIndex, GraphConfig, build_knn_graph, estimate_sigma
+from masc.labelprop import LPConfig, row_labels
+from masc.smoothing import masc_classify, one_hot_labels
+from masc.statdist import fit_gaussian, kl_gaussian
+from masc.subspace import gaussian_kernel, kmsm_similarity, kpca_subspace, msm_similarity, pca_subspace
+from oracles import reference_knn_graph, reference_sigma
+
+
+def assert_same_graph(got, want):
+    for name in ("H", "S"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.indptr.tobytes() == b.indptr.tobytes(), name
+        assert a.indices.tobytes() == b.indices.tobytes(), name
+        assert a.data.tobytes() == b.data.tobytes(), name
+    assert got.degrees.tobytes() == want.degrees.tobytes()
+    assert got.sigma == want.sigma
+
+
+def graph_instances(count, seed):
+    """(X, l, config) with integer-grid ties and duplicates, k = 1..4,
+    fixed or median sigma, and the sigma sample cap below or above n."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        k = int(rng.integers(1, 5))
+        l, m = int(rng.integers(1, 30)), int(rng.integers(0, 30))
+        if l + m < k + 1:
+            continue
+        d = int(rng.integers(1, 4))
+        if len(out) % 2:
+            X = rng.integers(0, 3, size=(l + m, d)).astype(float)
+        else:
+            X = rng.normal(size=(l + m, d))
+        cap = int(rng.choice([2, 7, l + m - 1, l + m, 1000]))
+        sigma = None if len(out) % 3 else float(rng.uniform(0.3, 2.0))
+        out.append((X, l, GraphConfig(k=k, sigma=sigma, sigma_sample_cap=max(cap, 2),
+                                      sigma_seed=len(out))))
+    return out
+
+
+@pytest.mark.parametrize("X,l,config", graph_instances(150, 0))
+def test_graph_matches_dense_reference_bitwise(X, l, config):
+    try:
+        want = reference_knn_graph(X, config)
+    except ValueError as exc:  # zero median distance on an all-duplicate set
+        with pytest.raises(ValueError, match=str(exc)):
+            build_knn_graph(X, config)
+        return
+    assert_same_graph(build_knn_graph(X, config), want)
+    gallery = GalleryIndex(X[:l].copy())
+    assert_same_graph(build_knn_graph(X, config, gallery), want)
+    # the k-NN lists cached by the first query serve a second one unchanged
+    assert_same_graph(build_knn_graph(X, config, gallery), want)
+
+
+@pytest.mark.parametrize("X,l,config", graph_instances(60, 1))
+def test_sigma_matches_reference_bitwise(X, l, config):
+    try:
+        want = reference_sigma(X, config)
+    except ValueError:
+        return
+    assert estimate_sigma(X, config) == want
+    assert GalleryIndex(X[:l]).sigma(X[l:], config) == want
+
+
+def test_graph_rejects_rows_that_are_not_the_gallery():
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(12, 2))
+    gallery = GalleryIndex(X[:8] + 1.0)
+    with pytest.raises(ValueError, match="gallery"):
+        build_knn_graph(X, GraphConfig(k=2), gallery)
+
+
+def test_graph_rejects_non_finite_rows():
+    X = np.zeros((6, 2))
+    X[3, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        build_knn_graph(X, GraphConfig(k=2, sigma=1.0))
+
+
+# -- decisions ----------------------------------------------------------------
+
+def _decision(scores, minimise, shown=None):
+    """First best score wins; ``shown`` replaces the scores reported."""
+    scores = [float(s) for s in scores]
+    best = min(scores) if minimise else max(scores)
+    return Decision(scores.index(best) + 1, tuple(scores if shown is None else shown),
+                    scores.count(best) > 1)
+
+
+def reference_decision(name, train_sets, obs, k=5, q=9):
+    """The classifier's decision with nothing reused: the dense graph, the
+    old closed-form LP expression, and fresh fits and factors per call."""
+    sets = [np.asarray(ts, dtype=float) for ts in train_sets]
+    obs = np.asarray(obs, dtype=float)
+    c, m = len(sets), obs.shape[0]
+    config = GraphConfig(k=k)
+    if name in ("masc", "lp"):
+        X = np.vstack(sets + [obs])
+        g = reference_knn_graph(X, config)
+        Y_l = one_hot_labels(np.repeat(np.arange(1, c + 1), [len(ts) for ts in sets]), c)
+        if name == "masc":
+            res = masc_classify(g.S, Y_l, m)
+            return Decision(res.decision, tuple(float(v) for v in res.scores), res.tie)
+        cfg = LPConfig(1.0)
+        Y = np.vstack([Y_l, np.zeros((m, c))])
+        M = cfg.beta * cfg.mu * np.linalg.solve(np.eye(g.n) - cfg.alpha * g.S.toarray(), Y)
+        counts = np.bincount(row_labels(M[-m:]), minlength=c + 1)[1:]
+        return _decision(counts, False, [float(v) / m for v in counts])
+    if name == "kld":
+        test = fit_gaussian(obs)
+        scores = []
+        for ts in sets:
+            mdl = fit_gaussian(ts)
+            scores.append(0.5 * (kl_gaussian(test, mdl) + kl_gaussian(mdl, test)))
+        return _decision(scores, True)
+    smallest = min(min(ts.shape[0] for ts in sets), m)
+    q_eff = max(1, min(q, smallest - 1, obs.shape[1]))
+    if name == "msm":
+        test = pca_subspace(obs, q_eff)
+        sims = [msm_similarity(pca_subspace(ts, q_eff), test) for ts in sets]
+    else:
+        kernel = gaussian_kernel(reference_sigma(np.vstack(sets + [obs]), config))
+        test = kpca_subspace(obs, q_eff, kernel=kernel)
+        sims = [kmsm_similarity(kpca_subspace(ts, q_eff, kernel=kernel), test) for ts in sets]
+    return _decision(sims, False)
+
+
+def same_decision(a, b):
+    return (a.decision == b.decision and a.tie == b.tie
+            and np.asarray(a.scores, dtype=float).tobytes()
+            == np.asarray(b.scores, dtype=float).tobytes())
+
+
+def raster_queries():
+    fixture = RotatedRasterFixture(RotatedRasterConfig(seed=0))
+    out = []
+    for m in (10, 50, 150):
+        train, obs = fixture.make_instance(m % 10 + 1, m, np.random.default_rng(m))
+        out.append((train, obs))
+    return out
+
+
+def manifold_queries():
+    fixture = CurvedManifoldFixture(CurvedManifoldConfig(seed=0))
+    return [fixture.make_instance(cls, m, np.random.default_rng([cls, m]))
+            for cls, m in ((1, 8), (2, 16), (3, 48))]
+
+
+@pytest.mark.parametrize("name", CLASSIFIERS)
+def test_cold_and_warm_calls_match_the_reference_bitwise(name):
+    classify = make_classifier(name)
+    for train, obs in raster_queries() + manifold_queries():
+        want = reference_decision(name, train, obs)
+        classify([ts + 0.5 for ts in train], obs)  # evicts train: the next call is cold
+        cold = classify(train, obs)
+        warm = classify(train, obs)
+        assert same_decision(cold, want), (name, len(obs))
+        assert same_decision(warm, want), (name, len(obs))
+
+
+@pytest.mark.parametrize("name", CLASSIFIERS)
+def test_thousand_row_gallery_matches_the_reference_bitwise(name):
+    # l = 1000 > the default sigma sample cap, so the median sigma subsamples
+    fixture = RotatedRasterFixture(RotatedRasterConfig(seed=0))
+    gallery = fixture.gallery(100, np.random.default_rng(1))
+    classify = make_classifier(name)
+    for cls, m in ((1, 10), (4, 150)):
+        _, obs = fixture.make_instance(cls, m, np.random.default_rng([cls, m]))
+        assert same_decision(classify(gallery, obs), reference_decision(name, gallery, obs))
+
+
+@pytest.mark.parametrize("name", CLASSIFIERS)
+def test_gallery_changed_in_place_is_not_served_stale(name):
+    fixture = CurvedManifoldFixture(CurvedManifoldConfig(seed=0))
+    train, obs = fixture.make_instance(2, 20, np.random.default_rng(4))
+    train = [np.array(ts) for ts in train]
+    classify = make_classifier(name)
+    before = classify(train, obs)
+    a, b = train[0].copy(), train[1].copy()
+    train[0][:], train[1][:] = b, a  # same arrays and shapes, classes swapped
+    want = reference_decision(name, train, obs)
+    assert not same_decision(before, want)  # a stale answer would show
+    assert same_decision(classify(train, obs), want)
+
+
+@pytest.mark.parametrize("name", CLASSIFIERS)
+def test_alternating_galleries_match_a_fresh_classifier(name):
+    fixture = CurvedManifoldFixture(CurvedManifoldConfig(seed=0))
+    rng = np.random.default_rng(9)
+    galleries = [fixture.train_sets(rng), fixture.train_sets(rng)]
+    queries = [fixture.make_instance(cls, 12, rng)[1] for cls in (1, 2, 3)]
+    classify = make_classifier(name)
+    for step in range(6):
+        train, obs = galleries[step % 2], queries[step % 3]
+        fresh = make_classifier(name)(train, obs)
+        assert same_decision(classify(train, obs), fresh)
+        assert same_decision(fresh, reference_decision(name, train, obs))
+
+
+def test_threads_sharing_the_cache_get_their_own_gallerys_results():
+    fixture = CurvedManifoldFixture(CurvedManifoldConfig(seed=0))
+    rng = np.random.default_rng(11)
+    galleries = [fixture.train_sets(rng) for _ in range(3)]
+    queries = [fixture.make_instance(cls, 10, rng)[1] for cls in (1, 2, 3)]
+    jobs = [(name, g, q) for name in CLASSIFIERS for g in range(3) for q in range(3)]
+    want = {job: reference_decision(job[0], galleries[job[1]], queries[job[2]]) for job in jobs}
+    classifiers = {name: make_classifier(name) for name in CLASSIFIERS}
+    wrong = []
+
+    def worker(offset):
+        for i in range(len(jobs)):
+            name, g, q = job = jobs[(i * 7 + offset) % len(jobs)]
+            if not same_decision(classifiers[name](galleries[g], queries[q]), want[job]):
+                wrong.append(job)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []

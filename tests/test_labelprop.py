@@ -73,6 +73,22 @@ class TestLpSolve:
         M = lp_solve(g.S, Y, 1e6)
         np.testing.assert_array_equal(row_labels(M[: len(labels)]), labels)
 
+    def test_in_place_system_matches_the_plain_expression_bytewise(self):
+        # A = I - alpha S is built in one buffer; every entry, signed zeros
+        # included, must round as in np.eye(n) - alpha * S
+        for seed, mu in ((9, 1.0), (10, 0.3), (11, 7.0)):
+            g, Y, _ = small_instance(seed, n=60, l=40, k=4)
+            cfg = LPConfig(mu)
+            Sd = g.S.toarray()
+            want = cfg.beta * cfg.mu * np.linalg.solve(np.eye(g.n) - cfg.alpha * Sd, Y)
+            assert lp_solve(g.S, Y, mu).tobytes() == want.tobytes()
+            before = Sd.copy()
+            assert lp_solve(Sd, Y, mu).tobytes() == want.tobytes()
+            assert Sd.tobytes() == before.tobytes()  # dense input left alone
+            Sd[np.diag_indices(g.n)] = 0.1  # a stored diagonal rounds alike
+            want = cfg.beta * cfg.mu * np.linalg.solve(np.eye(g.n) - cfg.alpha * Sd, Y)
+            assert lp_solve(Sd, Y, mu).tobytes() == want.tobytes()
+
     def test_scaling_y(self):
         g, Y, _ = small_instance(8)
         M1 = lp_solve(g.S, Y, 1.5)
