@@ -54,7 +54,7 @@ from .smoothing import (
     masc_classify,
     one_hot_labels,
 )
-from .statdist import GaussianModel, fit_gaussian, kl_gaussian, kld_classify, symmetric_kl
+from .statdist import GaussianModel, fit_gaussian, kl_gaussian, symmetric_kl
 from .subspace import (
     KernelSubspace,
     Subspace,

@@ -14,7 +14,7 @@ from .data import DataError, resample_set
 from .graph import GalleryIndex, GraphConfig, build_knn_graph
 from .labelprop import lp_solve, row_labels
 from .smoothing import masc_classify, one_hot_labels
-from .statdist import FactoredGaussian, fit_gaussian, kl_gaussian, symmetric_kl
+from .statdist import GaussianModel, fit_gaussian, kl_gaussian, symmetric_kl
 from .subspace import (
     PCAFit,
     gaussian_kernel,
@@ -57,8 +57,12 @@ def resolve_threads(threads: int | None = None) -> int:
     return threads
 
 
-def _check_sets(train_sets, observations):
-    """Float arrays of the class sets and observations, or DataError."""
+def _check_sets(train_sets, observations, min_rows: int = 1):
+    """Float arrays of the class sets and observations, or DataError.
+
+    ``min_rows`` is the fewest samples a set may have: the classifiers that
+    fit a subspace or a covariance to every set need two.
+    """
     sets = [np.asarray(ts, dtype=float) for ts in train_sets]
     obs = np.asarray(observations, dtype=float)
     if not sets:
@@ -69,6 +73,8 @@ def _check_sets(train_sets, observations):
             raise DataError(f"{what} must be a 2-D (samples, features) array, got {xs.ndim}-D")
         if xs.shape[0] < 1:
             raise DataError(f"{what} has no samples")
+        if xs.shape[0] < min_rows:
+            raise DataError(f"{what} needs at least {min_rows} samples, has {xs.shape[0]}")
         if xs.shape[1] < 1:
             raise DataError(f"{what} has no features")
         if not np.isfinite(xs).all():
@@ -122,10 +128,10 @@ class _Gallery:
         """Each class's leading q principal directions."""
         return self._part(("pca", q), lambda: [pca_fit(ts, q) for ts in self.sets])
 
-    def gaussians(self, energy_cutoff: float) -> list[FactoredGaussian]:
-        """Each class's Gaussian fit, kept as its mean and Cholesky factor."""
+    def gaussians(self, energy_cutoff: float) -> list[GaussianModel]:
+        """Each class's Gaussian fit in spectral form."""
         return self._part(("kld", energy_cutoff), lambda: [
-            fit_gaussian(ts, energy_cutoff).factored() for ts in self.sets])
+            fit_gaussian(ts, energy_cutoff) for ts in self.sets])
 
     def graph(self, obs, config: GraphConfig):
         """The k-NN graph over the gallery rows followed by ``obs``."""
@@ -159,8 +165,8 @@ class _LatestGallery:
 _LATEST = _LatestGallery()
 
 
-def _query(train_sets, observations):
-    sets, obs = _check_sets(train_sets, observations)
+def _query(train_sets, observations, min_rows: int = 1):
+    sets, obs = _check_sets(train_sets, observations, min_rows)
     return _LATEST.lookup(sets), obs
 
 
@@ -222,7 +228,7 @@ def make_classifier(name: str, *, k: int = 5, sigma: float | None = None,
 
     elif name == "msm":
         def classify(train_sets, observations):
-            gallery, obs = _query(train_sets, observations)
+            gallery, obs = _query(train_sets, observations, min_rows=2)
             q_eff = _subspace_q(q, gallery.sets, obs)
             test = pca_subspace(obs, q_eff)
             sims = [msm_similarity(fit.subspace(q_eff), test, msm_top)
@@ -232,7 +238,7 @@ def make_classifier(name: str, *, k: int = 5, sigma: float | None = None,
 
     elif name == "kmsm":
         def classify(train_sets, observations):
-            gallery, obs = _query(train_sets, observations)
+            gallery, obs = _query(train_sets, observations, min_rows=2)
             q_eff = _subspace_q(q, gallery.sets, obs)
             skern = sigma_kernel
             if skern is None:
@@ -246,7 +252,7 @@ def make_classifier(name: str, *, k: int = 5, sigma: float | None = None,
 
     else:  # kld
         def classify(train_sets, observations):
-            gallery, obs = _query(train_sets, observations)
+            gallery, obs = _query(train_sets, observations, min_rows=2)
             test = fit_gaussian(obs, energy_cutoff)
             models = gallery.gaussians(energy_cutoff)
             if kld_symmetric:

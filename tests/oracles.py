@@ -7,6 +7,7 @@ oversampling, Monte Carlo) and never calls the code paths it checks.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -182,3 +183,42 @@ def random_graph_instance(rng, n_max=30, c_max=5, d=4):
     g = build_knn_graph(X, GraphConfig(k=k, sigma=sigma))
     labels = rng.integers(1, c + 1, size=l)
     return g.S, one_hot_labels(labels, c), l, m, c
+
+
+def reference_fit_gaussian(X, energy_cutoff=0.96):
+    """The dense fit: eigendecompose the d x d sample covariance, keep the
+    leading eigenvalues that reach ``energy_cutoff`` of the trace, replace
+    the rest by their mean (floored at 1e-8 of the largest) and rebuild the
+    covariance. Keeps every eigenvalue when rounding never reaches the
+    cutoff, so at ``energy_cutoff=1`` a set with at most d rows can give a
+    singular covariance. Returns the mean, the covariance and the retained
+    count as attributes."""
+    import scipy.linalg
+
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    d = X.shape[1]
+    mean = X.mean(axis=0)
+    cov = np.atleast_2d(np.cov(X, rowvar=False, ddof=1))
+    vals, vecs = scipy.linalg.eigh(cov)
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    reached = np.cumsum(vals) >= energy_cutoff * float(vals.sum())
+    retained = int(np.argmax(reached)) + 1 if reached.any() else d
+    newvals = vals.copy()
+    if retained < d:
+        newvals[retained:] = max(float(vals[retained:].mean()), 1e-8 * float(vals[0]))
+    reg = (vecs * newvals) @ vecs.T
+    return SimpleNamespace(mean=mean, cov=0.5 * (reg + reg.T), retained=retained)
+
+
+def reference_kl_gaussian(g1, g2):
+    """KL(g1 || g2) from the dense covariances, via the Cholesky factors
+    and triangular solves; takes anything with ``mean`` and ``cov``."""
+    import scipy.linalg
+
+    L1 = np.linalg.cholesky(g1.cov)
+    L2 = np.linalg.cholesky(g2.cov)
+    A = scipy.linalg.solve_triangular(L2, L1, lower=True)
+    z = scipy.linalg.solve_triangular(L2, g2.mean - g1.mean, lower=True)
+    logdet2 = 2.0 * float(np.sum(np.log(np.diag(L2))))
+    logdet1 = 2.0 * float(np.sum(np.log(np.diag(L1))))
+    return 0.5 * (float(np.sum(A * A)) + float(z @ z) - len(g1.mean) + logdet2 - logdet1)

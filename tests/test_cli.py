@@ -63,6 +63,41 @@ class TestClassify:
         assert code == 3
         assert "line" in err
 
+    @pytest.mark.parametrize("name,code", [("masc", 0), ("lp", 0), ("msm", 3),
+                                           ("kmsm", 3), ("kld", 3)])
+    def test_one_observation(self, capsys, tmp_path, name, code):
+        rng = np.random.default_rng(0)
+        ds = Dataset(
+            labeled=np.vstack([rng.normal(size=(6, 3)), rng.normal(size=(6, 3)) + 9.0]),
+            labeled_classes=[1] * 6 + [2] * 6,
+            observations=rng.normal(size=(1, 3), scale=0.4) + 9.0,
+            c=2,
+        )
+        path = tmp_path / "one.csv"
+        save_dataset(ds, path)
+        got, out, err = run(capsys, "classify", "--classifier", name, "--k", "3",
+                            "--q", "2", "--input", str(path))
+        assert got == code
+        if code == 0:
+            assert json.loads(out)["decision"] == 2
+        else:
+            assert "observation set needs at least 2 samples" in err
+
+    def test_kld_energy_cutoff_one_with_sets_no_larger_than_d(self, capsys, tmp_path):
+        rng = np.random.default_rng(1)
+        ds = Dataset(
+            labeled=np.vstack([rng.normal(size=(20, 37)), rng.normal(size=(20, 37)) + 3.0]),
+            labeled_classes=[1] * 20 + [2] * 20,
+            observations=rng.normal(size=(20, 37)) + 3.0,
+            c=2,
+        )
+        path = tmp_path / "wide.csv"
+        save_dataset(ds, path)
+        code, out, _ = run(capsys, "classify", "--classifier", "kld",
+                           "--energy-cutoff", "1.0", "--input", str(path))
+        assert code == 0
+        assert json.loads(out)["decision"] == 2
+
     def test_output_file_matches_stdout(self, capsys, blob_csv, tmp_path):
         out_path = tmp_path / "result.json"
         code, out, _ = run(capsys, "classify", "--input", blob_csv,

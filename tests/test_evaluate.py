@@ -182,6 +182,40 @@ def test_bad_inputs_are_data_errors(name, train, obs, match):
         make_classifier(name, k=3, q=2)(train, obs)
 
 
+def _one_row_inputs():
+    rng = np.random.default_rng(1)
+    train = [rng.normal(size=(6, 3)) + 4.0 * p for p in range(3)]
+    obs = rng.normal(size=(6, 3)) + 4.0
+    return [
+        pytest.param(train, obs[:1], "observation set", id="one-row-observations"),
+        pytest.param([train[0], train[1][:1], train[2]], obs, "class 2", id="one-row-class-set"),
+    ]
+
+
+@pytest.mark.parametrize("train,obs,where", _one_row_inputs())
+@pytest.mark.parametrize("name", CLASSIFIERS)
+def test_one_row_sets(name, train, obs, where):
+    classify = make_classifier(name, k=3, q=2)
+    if name in ("masc", "lp"):  # the graph methods need no fit per set
+        assert classify(train, obs).decision in (1, 2, 3)
+        return
+    with pytest.raises(DataError, match=f"{where} needs at least 2 samples, has 1"):
+        classify(train, obs)
+
+
+def test_kld_energy_cutoff_one_on_sets_no_larger_than_d():
+    # 20 rows in d = 37: the sample covariance has rank 19, so all of its
+    # energy is reached by 19 directions and the fill keeps the model full rank
+    rng = np.random.default_rng(2)
+    train = [rng.normal(size=(20, 37)) + 3.0 * p for p in range(3)]
+    classify = make_classifier("kld", energy_cutoff=1.0)
+    for p in range(3):
+        obs = rng.normal(size=(20, 37)) + 3.0 * p
+        dec = classify(train, obs)
+        assert dec.decision == p + 1
+        assert all(np.isfinite(dec.scores))
+
+
 def test_unknown_classifier_rejected():
     with pytest.raises(ValueError, match="unknown classifier"):
         make_classifier("svm")

@@ -1,7 +1,8 @@
 """The per-gallery cache gives the same bytes as building everything afresh.
 
 Graphs are compared with the dense reference builder in ``oracles``;
-decisions with a reference path that fits and factors every set per call.
+decisions with a reference path that fits every set per call, and kld's
+also with the dense Gaussian fit and KL in ``oracles``.
 """
 
 import sys
@@ -22,7 +23,12 @@ from masc.labelprop import LPConfig, row_labels
 from masc.smoothing import masc_classify, one_hot_labels
 from masc.statdist import fit_gaussian, kl_gaussian
 from masc.subspace import gaussian_kernel, kmsm_similarity, kpca_subspace, msm_similarity, pca_subspace
-from oracles import reference_knn_graph, reference_sigma
+from oracles import (
+    reference_fit_gaussian,
+    reference_kl_gaussian,
+    reference_knn_graph,
+    reference_sigma,
+)
 
 
 def assert_same_graph(got, want):
@@ -109,7 +115,7 @@ def _decision(scores, minimise, shown=None):
 
 def reference_decision(name, train_sets, obs, k=5, q=9):
     """The classifier's decision with nothing reused: the dense graph, the
-    old closed-form LP expression, and fresh fits and factors per call."""
+    old closed-form LP expression, and fresh fits per call."""
     sets = [np.asarray(ts, dtype=float) for ts in train_sets]
     obs = np.asarray(obs, dtype=float)
     c, m = len(sets), obs.shape[0]
@@ -176,6 +182,31 @@ def test_cold_and_warm_calls_match_the_reference_bitwise(name):
         warm = classify(train, obs)
         assert same_decision(cold, want), (name, len(obs))
         assert same_decision(warm, want), (name, len(obs))
+
+
+def dense_kld_decision(train_sets, obs):
+    """kld's decision from the dense eigh fits and Cholesky KL."""
+    test = reference_fit_gaussian(obs)
+    scores = []
+    for ts in train_sets:
+        mdl = reference_fit_gaussian(ts)
+        scores.append(0.5 * (reference_kl_gaussian(test, mdl) + reference_kl_gaussian(mdl, test)))
+    return _decision(scores, True)
+
+
+def test_kld_decisions_match_the_dense_oracle_cold_and_warm():
+    fixture = RotatedRasterFixture(RotatedRasterConfig(seed=0))
+    big = fixture.gallery(100, np.random.default_rng(1))
+    queries = raster_queries() + manifold_queries() + [
+        (big, fixture.make_instance(cls, m, np.random.default_rng([cls, m]))[1])
+        for cls, m in ((1, 10), (4, 150))]
+    classify = make_classifier("kld")
+    for train, obs in queries:
+        want = dense_kld_decision(train, obs)
+        classify([ts + 0.5 for ts in train], obs)  # evicts train: the next call is cold
+        for got in (classify(train, obs), classify(train, obs)):
+            assert (got.decision, got.tie) == (want.decision, want.tie)
+            np.testing.assert_allclose(got.scores, want.scores, rtol=1e-10, atol=0)
 
 
 @pytest.mark.parametrize("name", CLASSIFIERS)
