@@ -44,7 +44,7 @@ from .graph import (
     estimate_sigma,
     normalize_similarity,
 )
-from .labelprop import LPConfig, lp_classify_majority, lp_cost, lp_iterate, lp_solve
+from .labelprop import LPConfig, lp_iterate, lp_solve, observation_votes
 from .smoothing import (
     ClassScores,
     class_conditional_matrix,
@@ -58,10 +58,7 @@ from .statdist import GaussianModel, fit_gaussian, kl_gaussian, symmetric_kl
 from .subspace import (
     KernelSubspace,
     Subspace,
-    kernel_matrix,
-    kmsm_classify,
     kpca_subspace,
-    msm_classify,
     msm_similarity,
     pca_subspace,
     principal_angles,

@@ -12,7 +12,7 @@ import numpy as np
 
 from .data import DataError, resample_set
 from .graph import GalleryIndex, GraphConfig, build_knn_graph
-from .labelprop import lp_solve, row_labels
+from .labelprop import lp_solve, observation_votes
 from .smoothing import masc_classify, one_hot_labels
 from .statdist import GaussianModel, fit_gaussian, kl_gaussian, symmetric_kl
 from .subspace import (
@@ -86,6 +86,10 @@ def _check_sets(train_sets, observations, min_rows: int = 1):
     return sets, obs
 
 
+def _all_identical(xs) -> bool:
+    return bool((xs == xs[0]).all())
+
+
 class _Gallery:
     """One labelled block and what the classifiers derive from it alone.
 
@@ -120,6 +124,11 @@ class _Gallery:
         c = len(self.sets)
         return self._part("labels", lambda: one_hot_labels(
             np.repeat(np.arange(1, c + 1), [len(ts) for ts in self.sets]), c))
+
+    def constant_class(self) -> int | None:
+        """The first class whose samples are all identical, if any."""
+        return self._part("constant", lambda: next(
+            (p for p, ts in enumerate(self.sets, start=1) if _all_identical(ts)), None))
 
     def index(self) -> GalleryIndex:
         return self._part("index", lambda: GalleryIndex(self.X))
@@ -165,9 +174,21 @@ class _LatestGallery:
 _LATEST = _LatestGallery()
 
 
-def _query(train_sets, observations, min_rows: int = 1):
-    sets, obs = _check_sets(train_sets, observations, min_rows)
-    return _LATEST.lookup(sets), obs
+def _query(train_sets, observations, fits_sets: bool = False):
+    """The gallery of the class sets and the observations, both checked.
+
+    ``fits_sets`` marks the classifiers that fit a subspace or a Gaussian
+    to every set, which needs two samples that differ. The class sets are
+    scanned for that once per gallery, the observations on every query.
+    """
+    sets, obs = _check_sets(train_sets, observations, min_rows=2 if fits_sets else 1)
+    gallery = _LATEST.lookup(sets)
+    if fits_sets:
+        p = gallery.constant_class()
+        if p is not None or _all_identical(obs):
+            what = "observation set" if p is None else f"class {p}"
+            raise DataError(f"{what} has no spread: all its samples are identical")
+    return gallery, obs
 
 
 def _argmax_decision(scores) -> tuple[int, bool]:
@@ -220,15 +241,13 @@ def make_classifier(name: str, *, k: int = 5, sigma: float | None = None,
             m, c = obs.shape[0], Y_l.shape[1]
             g = gallery.graph(obs, graph_config)
             Y = np.vstack([Y_l, np.zeros((m, c))])
-            M = lp_solve(g.S, Y, mu)
-            votes = row_labels(M[-m:])
-            counts = np.bincount(votes, minlength=c + 1)[1:]
+            counts = observation_votes(lp_solve(g.S, Y, mu), m)
             decision, tie = _argmax_decision(counts)
             return Decision(decision, tuple(float(v) / m for v in counts), tie)
 
     elif name == "msm":
         def classify(train_sets, observations):
-            gallery, obs = _query(train_sets, observations, min_rows=2)
+            gallery, obs = _query(train_sets, observations, fits_sets=True)
             q_eff = _subspace_q(q, gallery.sets, obs)
             test = pca_subspace(obs, q_eff)
             sims = [msm_similarity(fit.subspace(q_eff), test, msm_top)
@@ -238,7 +257,7 @@ def make_classifier(name: str, *, k: int = 5, sigma: float | None = None,
 
     elif name == "kmsm":
         def classify(train_sets, observations):
-            gallery, obs = _query(train_sets, observations, min_rows=2)
+            gallery, obs = _query(train_sets, observations, fits_sets=True)
             q_eff = _subspace_q(q, gallery.sets, obs)
             skern = sigma_kernel
             if skern is None:
@@ -252,7 +271,7 @@ def make_classifier(name: str, *, k: int = 5, sigma: float | None = None,
 
     else:  # kld
         def classify(train_sets, observations):
-            gallery, obs = _query(train_sets, observations, min_rows=2)
+            gallery, obs = _query(train_sets, observations, fits_sets=True)
             test = fit_gaussian(obs, energy_cutoff)
             models = gallery.gaussians(energy_cutoff)
             if kld_symmetric:

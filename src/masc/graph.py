@@ -170,7 +170,14 @@ def _median_sigma(gallery: GalleryIndex, C, Pc, config: GraphConfig) -> float:
 
 
 def estimate_sigma(X, config: GraphConfig = GraphConfig()) -> float:
-    """Half the median pairwise distance of a seeded subsample."""
+    """Half the median pairwise distance of a seeded subsample.
+
+    This is the reference definition of the median heuristic. The classify
+    path computes the same value from cached gallery distances in
+    :func:`_median_sigma` and never calls this function. It stays public
+    because the tests pin the heuristic through it and the benchmark tracer
+    reports it by name.
+    """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
     if n < 2:

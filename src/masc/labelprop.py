@@ -27,23 +27,6 @@ class LPConfig:
         return self.mu / (1.0 + self.mu)
 
 
-def _dense(S) -> np.ndarray:
-    return S.toarray() if sparse.issparse(S) else np.asarray(S, dtype=float)
-
-
-def lp_cost(H, D, M, Y, mu: float) -> float:
-    """(1/2) (sum_ij H_ij ||M_i/sqrt(D_ii) - M_j/sqrt(D_jj)||^2 + mu ||M - Y||_F^2)."""
-    Hd = _dense(H)
-    D = np.asarray(D, dtype=float).ravel()
-    M = np.asarray(M, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    R = M / np.sqrt(D)[:, None]
-    diff = R[:, None, :] - R[None, :, :]
-    smooth = float(np.sum(Hd * np.einsum("ijk,ijk->ij", diff, diff)))
-    fit = float(mu) * float(np.square(M - Y).sum())
-    return 0.5 * (smooth + fit)
-
-
 def lp_solve(S, Y, mu: float = 1.0) -> np.ndarray:
     """Closed-form propagated label matrix M* = beta * mu * (I - alpha S)^{-1} Y.
 
@@ -98,16 +81,14 @@ def row_labels(M) -> np.ndarray:
     return np.argmax(np.asarray(M, dtype=float), axis=1) + 1
 
 
-def lp_classify_majority(M_star, m: int) -> int:
-    """Plurality vote over the per-row decisions of the m observation rows.
+def observation_votes(M_star, m: int) -> np.ndarray:
+    """Each class's votes among the last m rows, the observation rows.
 
-    Ties at both levels (row argmax, vote plurality) break to the smallest
-    index.
+    A row votes for its :func:`row_labels` decision, so a tie within a row
+    goes to the smallest index; entry p - 1 counts the votes for class p.
     """
     M = np.asarray(M_star, dtype=float)
     n, c = M.shape
     if not 1 <= m <= n:
         raise ValueError(f"m must be in 1..{n}, got {m}")
-    votes = row_labels(M[n - m :])
-    counts = np.bincount(votes, minlength=c + 1)[1:]
-    return int(np.argmax(counts)) + 1
+    return np.bincount(row_labels(M[n - m :]), minlength=c + 1)[1:]

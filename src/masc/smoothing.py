@@ -37,11 +37,6 @@ def one_hot_labels(class_ids, c: int) -> np.ndarray:
     return Y
 
 
-def candidate_vectors(c: int) -> np.ndarray:
-    """The c admissible weight vectors: one-hot rows of the identity."""
-    return np.eye(c)
-
-
 def class_conditional_matrix(Y_l, m: int, p: int) -> np.ndarray:
     """Full label matrix under the hypothesis that all observations are class p.
 

@@ -131,13 +131,6 @@ def msm_similarity(a, b, top: int = 1) -> float:
     return float(np.mean(svals[:top] ** 2))
 
 
-def msm_classify(train_sets, test_set, q: int = 9, top: int = 1) -> int:
-    """Most similar class subspace wins (smallest index on ties)."""
-    test = pca_subspace(test_set, q)
-    sims = [msm_similarity(pca_subspace(ts, q), test, top) for ts in train_sets]
-    return int(np.argmax(sims)) + 1
-
-
 def gaussian_kernel(sigma: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """k(x, y) = exp(-||x - y||^2 / (2 sigma^2)) as a two-set Gram callable."""
     if not sigma > 0:
@@ -152,12 +145,6 @@ def gaussian_kernel(sigma: float) -> Callable[[np.ndarray, np.ndarray], np.ndarr
         return np.exp(-cdist(A, B, "sqeuclidean") / s2)
 
     return kernel
-
-
-def kernel_matrix(X, sigma: float) -> np.ndarray:
-    """Gaussian kernel matrix of one set: symmetric PSD with unit diagonal."""
-    X = np.asarray(X, dtype=float)
-    return gaussian_kernel(sigma)(X, X)
 
 
 def kpca_subspace(X, q: int, sigma: float | None = None, kernel=None) -> KernelSubspace:
@@ -226,22 +213,3 @@ def kmsm_similarity(a: KernelSubspace, b: KernelSubspace, top: int = 1) -> float
         raise ValueError("top >= 1 required")
     return float(np.mean(cos[:top] ** 2))
 
-
-def kmsm_classify(train_sets, test_set, q: int = 9, sigma: float | None = None,
-                  top: int = 1) -> int:
-    """KMSM decision: kernel PCA per set, most similar class wins.
-
-    When ``sigma`` is None it is set by the same median heuristic as the
-    graph weights, over all samples involved in the comparison.
-    """
-    if sigma is None:
-        from .graph import estimate_sigma
-
-        stacked = np.vstack([np.asarray(ts, dtype=float) for ts in train_sets]
-                            + [np.atleast_2d(np.asarray(test_set, dtype=float))])
-        sigma = estimate_sigma(stacked)
-    kernel = gaussian_kernel(sigma)
-    test = kpca_subspace(test_set, q, kernel=kernel)
-    sims = [kmsm_similarity(kpca_subspace(ts, q, kernel=kernel), test, top)
-            for ts in train_sets]
-    return int(np.argmax(sims)) + 1

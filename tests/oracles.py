@@ -79,6 +79,20 @@ def linear_kernel(A, B):
     return np.atleast_2d(np.asarray(A, float)) @ np.atleast_2d(np.asarray(B, float)).T
 
 
+def lp_cost(H, D, M, Y, mu):
+    """The label-propagation objective, a dense double sum:
+    (1/2) (sum_ij H_ij ||M_i/sqrt(D_ii) - M_j/sqrt(D_jj)||^2 + mu ||M - Y||_F^2)."""
+    H = np.asarray(H if not hasattr(H, "toarray") else H.toarray(), dtype=float)
+    D = np.asarray(D, dtype=float).ravel()
+    M = np.asarray(M, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    R = M / np.sqrt(D)[:, None]
+    diff = R[:, None, :] - R[None, :, :]
+    smooth = float(np.sum(H * np.einsum("ijk,ijk->ij", diff, diff)))
+    fit = float(mu) * float(np.square(M - Y).sum())
+    return 0.5 * (smooth + fit)
+
+
 def gaussian_logpdf(X, mean, cov):
     """Log density of a multivariate normal, via Cholesky."""
     X = np.atleast_2d(np.asarray(X, dtype=float))

@@ -83,6 +83,22 @@ class TestClassify:
         else:
             assert "observation set needs at least 2 samples" in err
 
+    @pytest.mark.parametrize("name", ["msm", "kmsm", "kld"])
+    def test_identical_observations_are_a_data_error(self, capsys, tmp_path, name):
+        rng = np.random.default_rng(0)
+        ds = Dataset(
+            labeled=np.vstack([rng.normal(size=(6, 3)), rng.normal(size=(6, 3)) + 9.0]),
+            labeled_classes=[1] * 6 + [2] * 6,
+            observations=np.full((4, 3), 9.0),
+            c=2,
+        )
+        path = tmp_path / "same.csv"
+        save_dataset(ds, path)
+        code, _, err = run(capsys, "classify", "--classifier", name, "--q", "2",
+                           "--input", str(path))
+        assert code == 3
+        assert "observation set has no spread" in err
+
     def test_kld_energy_cutoff_one_with_sets_no_larger_than_d(self, capsys, tmp_path):
         rng = np.random.default_rng(1)
         ds = Dataset(

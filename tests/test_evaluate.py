@@ -186,20 +186,26 @@ def _one_row_inputs():
     rng = np.random.default_rng(1)
     train = [rng.normal(size=(6, 3)) + 4.0 * p for p in range(3)]
     obs = rng.normal(size=(6, 3)) + 4.0
+    same = np.repeat(obs[:1], 6, axis=0)
+    one_row, no_spread = "needs at least 2 samples, has 1", "has no spread"
     return [
-        pytest.param(train, obs[:1], "observation set", id="one-row-observations"),
-        pytest.param([train[0], train[1][:1], train[2]], obs, "class 2", id="one-row-class-set"),
+        pytest.param(train, obs[:1], f"observation set {one_row}", id="one-row-observations"),
+        pytest.param([train[0], train[1][:1], train[2]], obs, f"class 2 {one_row}",
+                     id="one-row-class-set"),
+        pytest.param(train, same, f"observation set {no_spread}", id="identical-observations"),
+        pytest.param([train[0], same + 4.0, train[2]], obs, f"class 2 {no_spread}",
+                     id="identical-class-set"),
     ]
 
 
-@pytest.mark.parametrize("train,obs,where", _one_row_inputs())
+@pytest.mark.parametrize("train,obs,message", _one_row_inputs())
 @pytest.mark.parametrize("name", CLASSIFIERS)
-def test_one_row_sets(name, train, obs, where):
+def test_one_row_sets(name, train, obs, message):
     classify = make_classifier(name, k=3, q=2)
     if name in ("masc", "lp"):  # the graph methods need no fit per set
         assert classify(train, obs).decision in (1, 2, 3)
         return
-    with pytest.raises(DataError, match=f"{where} needs at least 2 samples, has 1"):
+    with pytest.raises(DataError, match=message):
         classify(train, obs)
 
 

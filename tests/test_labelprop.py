@@ -2,16 +2,17 @@ import numpy as np
 import pytest
 
 from masc.graph import GraphConfig, build_knn_graph
+from masc.evaluate import make_classifier
 from masc.labelprop import (
     LPConfig,
-    lp_classify_majority,
-    lp_cost,
     lp_iterate,
     lp_solve,
+    observation_votes,
     propagation_labels,
     row_labels,
 )
 from masc.smoothing import one_hot_labels
+from oracles import lp_cost
 
 
 def small_instance(seed, n=20, c=3, l=12, k=3):
@@ -135,22 +136,30 @@ class TestMajorityVote:
     def test_unanimous(self):
         M = np.zeros((4, 4))
         M[:, 2] = 1.0
-        assert lp_classify_majority(M, 4) == 3
+        assert observation_votes(M, 4).tolist() == [0, 0, 4, 0]
 
     def test_plurality(self):
         M = np.zeros((5, 2))
         M[:3, 0] = 1.0
         M[3:, 1] = 1.0
-        assert lp_classify_majority(M, 5) == 1
+        assert observation_votes(M, 5).tolist() == [3, 2]
 
     def test_tie_breaks_to_smallest(self):
         M = np.zeros((4, 5))
         M[:2, 1] = 1.0  # two votes for class 2
         M[2:, 3] = 1.0  # two votes for class 4
-        assert lp_classify_majority(M, 4) == 2
+        assert observation_votes(M, 4).tolist() == [0, 2, 0, 2, 0]
+        M[0, 3] = 1.0  # a row tied between classes 2 and 4 votes for 2
+        assert observation_votes(M, 4).tolist() == [0, 2, 0, 2, 0]
+        # a tied vote decides for the smaller class, flagged as a tie
+        train = [np.zeros((3, 2)), np.full((3, 2), 10.0)]
+        train[0][:, 1] = train[1][:, 1] = [0.0, 0.1, 0.2]
+        obs = np.array([[0.5, 0.1], [9.5, 0.1]])
+        dec = make_classifier("lp", k=2)(train, obs)
+        assert (dec.decision, dec.scores, dec.tie) == (1, (0.5, 0.5), True)
 
     def test_only_observation_rows_vote(self):
         M = np.zeros((5, 2))
         M[:3, 0] = 1.0  # labelled rows, must be ignored
         M[3:, 1] = 1.0
-        assert lp_classify_majority(M, 2) == 2
+        assert observation_votes(M, 2).tolist() == [0, 2]

@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from masc.evaluate import CLASSIFIERS, make_classifier
 from masc.subspace import (
     gaussian_kernel,
-    kernel_matrix,
     kernel_principal_angles,
-    kmsm_classify,
     kpca_subspace,
-    msm_classify,
     msm_similarity,
     pca_subspace,
     principal_angles,
@@ -32,6 +30,11 @@ def subspace_sets(rng, classes=3, d=10, q0=2, n=14, noise=0.05, spread=3.0):
         coefs = rng.normal(size=(n, q0)) * spread
         sets.append(coefs @ B.T + noise * rng.normal(size=(n, d)))
     return sets
+
+
+def decide(name, sets, test, **params):
+    """The decision of the classifier the CLI and the protocols run."""
+    return make_classifier(name, **params)(sets, test).decision
 
 
 class TestPcaSubspace:
@@ -132,7 +135,7 @@ class TestMsm:
         rng = np.random.default_rng(9)
         sets = subspace_sets(rng)
         for j, ts in enumerate(sets, start=1):
-            assert msm_classify(sets, ts, q=2) == j
+            assert decide("msm", sets, ts, q=2) == j
 
     def test_orthogonal_planes(self):
         rng = np.random.default_rng(10)
@@ -140,32 +143,34 @@ class TestMsm:
         set1 = np.pad(coefs, ((0, 0), (0, 4)))           # spans e1, e2
         set2 = np.pad(coefs, ((0, 0), (2, 2)))           # spans e3, e4
         test = np.pad(rng.normal(size=(8, 2)), ((0, 0), (2, 2)))
-        assert msm_classify([set1, set2], test, q=2) == 2
+        assert decide("msm", [set1, set2], test, q=2) == 2
 
     def test_class_permutation(self):
         rng = np.random.default_rng(11)
         sets = subspace_sets(rng)
         test = sets[2] + 0.01 * rng.normal(size=sets[2].shape)
-        assert msm_classify(sets, test, q=2) == 3
-        assert msm_classify(sets[::-1], test, q=2) == 1
+        assert decide("msm", sets, test, q=2) == 3
+        assert decide("msm", sets[::-1], test, q=2) == 1
 
 
 class TestKernelMatrix:
     def test_unit_diagonal(self):
         rng = np.random.default_rng(12)
-        K = kernel_matrix(rng.normal(size=(9, 4)), sigma=1.3)
+        X = rng.normal(size=(9, 4))
+        K = gaussian_kernel(1.3)(X, X)
         np.testing.assert_array_equal(np.diag(K), np.ones(9))
 
     def test_analytic_value(self):
         sigma = 2.0
         X = np.array([[0.0], [sigma * math.sqrt(2.0)]])
-        K = kernel_matrix(X, sigma)
+        K = gaussian_kernel(sigma)(X, X)
         assert K[0, 1] == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_positive_semidefinite(self):
         rng = np.random.default_rng(13)
         for n in (10, 30, 50):
-            K = kernel_matrix(rng.normal(size=(n, 5)), sigma=0.8)
+            X = rng.normal(size=(n, 5))
+            K = gaussian_kernel(0.8)(X, X)
             assert scipy.linalg.eigh(K, eigvals_only=True).min() >= -1e-10
             np.testing.assert_array_equal(K, K.T)
 
@@ -175,7 +180,7 @@ class TestKpca:
         rng = np.random.default_rng(14)
         X = rng.normal(size=(15, 6))
         sub = kpca_subspace(X, 4, sigma=1.5)
-        K = kernel_matrix(X, 1.5)
+        K = gaussian_kernel(1.5)(X, X)
         n = K.shape[0]
         J = np.eye(n) - np.ones((n, n)) / n
         Kc = J @ K @ J
@@ -185,7 +190,7 @@ class TestKpca:
     def test_centering_column_sums(self):
         rng = np.random.default_rng(15)
         X = rng.normal(size=(12, 3))
-        K = kernel_matrix(X, 1.0)
+        K = gaussian_kernel(1.0)(X, X)
         col_means = K.mean(axis=0)
         Kc = K - col_means[None, :] - col_means[:, None] + K.mean()
         assert np.max(np.abs(Kc.sum(axis=0))) <= 1e-10
@@ -219,7 +224,7 @@ class TestKmsm:
         rng = np.random.default_rng(17)
         sets = subspace_sets(rng)
         for j, ts in enumerate(sets, start=1):
-            assert kmsm_classify(sets, ts, q=2, sigma=2.0) == j
+            assert decide("kmsm", sets, ts, q=2, sigma_kernel=2.0) == j
 
     def test_identical_sets_have_zero_angles(self):
         rng = np.random.default_rng(18)
@@ -236,16 +241,23 @@ class TestKmsm:
             sets = subspace_sets(rng, d=8, q0=2, n=12, noise=0.02)
             true = int(rng.integers(1, 4))
             test = sets[true - 1] + 0.02 * rng.normal(size=sets[true - 1].shape)
-            msm_dec = msm_classify(sets, test, q=3)
-            kmsm_dec = kmsm_classify(sets, test, q=3, sigma=1e3)
+            msm_dec = decide("msm", sets, test, q=3)
+            kmsm_dec = decide("kmsm", sets, test, q=3, sigma_kernel=1e3)
             agree += int(msm_dec == kmsm_dec)
         assert agree == 20
 
-    def test_sample_order_invariance(self):
-        rng = np.random.default_rng(20)
-        sets = subspace_sets(rng)
-        test = sets[1] + 0.05 * rng.normal(size=sets[1].shape)
-        base = kmsm_classify(sets, test, q=2, sigma=1.5)
-        shuffled_sets = [ts[rng.permutation(len(ts))] for ts in sets]
-        shuffled_test = test[rng.permutation(len(test))]
-        assert kmsm_classify(shuffled_sets, shuffled_test, q=2, sigma=1.5) == base
+
+@pytest.mark.parametrize("name", CLASSIFIERS)
+def test_sample_order_invariance(name):
+    # every classifier scores sets, so the order of the rows within a set
+    # may change rounding but never the decision
+    rng = np.random.default_rng(20)
+    sets = subspace_sets(rng)
+    test = sets[1] + 0.05 * rng.normal(size=sets[1].shape)
+    classify = make_classifier(name, q=2, sigma_kernel=1.5)
+    base = classify(sets, test)
+    shuffled_sets = [ts[rng.permutation(len(ts))] for ts in sets]
+    shuffled_test = test[rng.permutation(len(test))]
+    shuffled = classify(shuffled_sets, shuffled_test)
+    assert shuffled.decision == base.decision
+    np.testing.assert_allclose(shuffled.scores, base.scores, rtol=1e-9)
