@@ -7,8 +7,6 @@ from .data import (
     LabelError,
     ParseError,
     augment_virtual_samples,
-    devectorize,
-    generate_observation_set,
     load_dataset,
     load_gallery,
     resample_set,

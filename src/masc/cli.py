@@ -177,11 +177,7 @@ def _require_input(cfg: ExperimentConfig) -> str:
 
 def cmd_classify(cfg: ExperimentConfig, args) -> int:
     ds = load_dataset(_require_input(cfg))
-    train_sets = ds.train_sets()
-    empty = [p for p, ts in enumerate(train_sets, start=1) if ts.shape[0] == 0]
-    if empty:
-        raise DataError(f"class {empty[0]} has no labelled samples")
-    decision = _classifier_from(cfg)(train_sets, ds.observations)
+    decision = _classifier_from(cfg)(ds.train_sets(), ds.observations)
     payload = {
         "classifier": cfg.classifier,
         "decision": decision.decision,

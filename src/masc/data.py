@@ -144,16 +144,27 @@ def _parse_tag(fields, lineno):
         raise ParseError(f"line {lineno}: row tag {fields[0]!r} is not an integer") from None
 
 
-def _read_header(lines, path):
+def _read_rows(path):
+    """Header values (d, c) of a CSV file and an iterator over its non-blank
+    rows as (line number, integer tag, fields)."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
         raise ParseError(f"{path}: empty file")
     match = _HEADER_RE.match(lines[0].strip())
     if match is None:
         raise ParseError(f"{path}: line 1: expected header '#d=<d>,c=<c>'")
-    return int(match.group(1)), int(match.group(2))
+
+    def rows():
+        for lineno, raw in enumerate(lines[1:], start=2):
+            line = raw.strip()
+            if line:
+                fields = line.split(",")
+                yield lineno, _parse_tag(fields, lineno), fields
+
+    return int(match.group(1)), int(match.group(2)), rows()
 
 
-def load_dataset(path, fmt: str = "csv") -> Dataset:
+def load_dataset(path) -> Dataset:
     """Read a classification instance from CSV.
 
     Format: header line ``#d=<d>,c=<c>``, then one sample per row. The first
@@ -161,17 +172,9 @@ def load_dataset(path, fmt: str = "csv") -> Dataset:
     ``-1`` for virtual-sample rows (followed by the inherited class id).
     Remaining fields are the d feature values. Row order is preserved.
     """
-    if fmt != "csv":
-        raise ValueError(f"unsupported format {fmt!r}")
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    d, c = _read_header(lines, path)
+    d, c, rows = _read_rows(path)
     labeled, labeled_cls, virtual, virtual_cls, observations = [], [], [], [], []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = line.split(",")
-        tag = _parse_tag(fields, lineno)
+    for lineno, tag, fields in rows:
         if tag >= 1:
             if tag > c:
                 raise LabelError(f"line {lineno}: class {tag} outside 1..{c}")
@@ -229,15 +232,9 @@ def load_gallery(path) -> list[np.ndarray]:
     Every row must carry a class id in 1..c; returns one (n_p, d) array per
     class. Used by the session protocols, where each file is one session.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    d, c = _read_header(lines, path)
+    d, c, rows = _read_rows(path)
     sets: list[list[list[float]]] = [[] for _ in range(c)]
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = line.split(",")
-        tag = _parse_tag(fields, lineno)
+    for lineno, tag, fields in rows:
         if not 1 <= tag <= c:
             raise LabelError(f"line {lineno}: gallery rows need a class id in 1..{c}, got {tag}")
         sets[tag - 1].append(_parse_floats(fields[1:], d, lineno))
@@ -267,10 +264,6 @@ def save_gallery(sets, path) -> None:
 def vectorize(pattern) -> np.ndarray:
     """Flatten a raster column-major (fixed order so fixtures are reproducible)."""
     return np.asarray(pattern, dtype=float).reshape(-1, order="F")
-
-
-def devectorize(vec, shape) -> np.ndarray:
-    return np.asarray(vec, dtype=float).reshape(shape, order="F")
 
 
 def rotate_pattern(pattern, theta: float) -> np.ndarray:
@@ -354,13 +347,6 @@ def rotation_set(pattern, m: int, theta_range, rng):
     angles = draw_distinct_angles(rng, m, theta_range)
     samples = np.stack([vectorize(rotate_pattern(pattern, a)) for a in angles])
     return samples, np.asarray(angles)
-
-
-def generate_observation_set(pattern, m: int, theta_range, seed) -> np.ndarray:
-    """Deterministic observation set: pure function of (pattern, m, range, seed)."""
-    rng = np.random.default_rng(seed)
-    samples, _ = rotation_set(pattern, m, theta_range, rng)
-    return samples
 
 
 def augment_virtual_samples(labeled, angles):

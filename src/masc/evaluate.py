@@ -14,7 +14,8 @@ from .data import DataError, resample_set
 from .graph import GalleryIndex, GraphConfig, build_knn_graph
 from .labelprop import lp_solve, observation_votes
 from .smoothing import masc_classify, one_hot_labels
-from .statdist import GaussianModel, fit_gaussian, kl_gaussian, symmetric_kl
+from .statdist import GaussianModel, fit_gaussian, symmetric_kl
+from .statdist import kl_gaussian  # noqa: F401  perfbench's tracer tests patch it here
 from .subspace import (
     PCAFit,
     gaussian_kernel,
@@ -22,7 +23,6 @@ from .subspace import (
     kpca_subspace,
     msm_similarity,
     pca_fit,
-    pca_subspace,
 )
 
 CLASSIFIERS = ("masc", "lp", "msm", "kmsm", "kld")
@@ -191,16 +191,12 @@ def _query(train_sets, observations, fits_sets: bool = False):
     return gallery, obs
 
 
-def _argmax_decision(scores) -> tuple[int, bool]:
+def _decide(scores, pick) -> tuple[int, bool]:
+    """The 1-based class ``pick`` (np.argmax or np.argmin) selects, and
+    whether another class has the same score."""
     scores = np.asarray(scores, dtype=float)
-    best = scores.max()
-    return int(np.argmax(scores)) + 1, int(np.count_nonzero(scores == best)) > 1
-
-
-def _argmin_decision(scores) -> tuple[int, bool]:
-    scores = np.asarray(scores, dtype=float)
-    best = scores.min()
-    return int(np.argmin(scores)) + 1, int(np.count_nonzero(scores == best)) > 1
+    best = int(pick(scores))
+    return best + 1, int(np.count_nonzero(scores == scores[best])) > 1
 
 
 def _subspace_q(q, sets, obs):
@@ -208,11 +204,17 @@ def _subspace_q(q, sets, obs):
     return max(1, min(int(q), smallest - 1, obs.shape[1]))
 
 
+def _kernel_subspace(what, X, q, kernel):
+    try:
+        return kpca_subspace(X, q, kernel=kernel)
+    except DataError as exc:
+        raise DataError(f"{what} has too few distinct samples: {exc}") from None
+
+
 def make_classifier(name: str, *, k: int = 5, sigma: float | None = None,
                     sigma_sample_cap: int = 1000, sigma_seed: int = 0,
                     mu: float = 1.0, q: int = 9, sigma_kernel: float | None = None,
-                    energy_cutoff: float = 0.96, msm_top: int = 1,
-                    kld_symmetric: bool = True):
+                    energy_cutoff: float = 0.96):
     """Callable (train_sets, observations) -> Decision for one classifier id.
 
     For the graph methods the samples are stacked labelled-first. Work that
@@ -220,7 +222,10 @@ def make_classifier(name: str, *, k: int = 5, sigma: float | None = None,
     subspaces, Gaussian fits) is done once per gallery and reused while
     queries keep arriving with the same sets; see :class:`_LatestGallery`.
     The subspace dimension is capped at (smallest set size - 1) so thin sets
-    stay usable.
+    stay usable; msm further caps each set's subspace at that set's
+    numerical rank, and kmsm rejects a set whose kernel matrix is too thin.
+    msm and kmsm score by the squared largest canonical correlation, kld by
+    the symmetrized KL divergence.
     """
     if name not in CLASSIFIERS:
         raise ValueError(f"unknown classifier {name!r} (choose from {CLASSIFIERS})")
@@ -242,17 +247,18 @@ def make_classifier(name: str, *, k: int = 5, sigma: float | None = None,
             g = gallery.graph(obs, graph_config)
             Y = np.vstack([Y_l, np.zeros((m, c))])
             counts = observation_votes(lp_solve(g.S, Y, mu), m)
-            decision, tie = _argmax_decision(counts)
+            decision, tie = _decide(counts, np.argmax)
             return Decision(decision, tuple(float(v) / m for v in counts), tie)
 
     elif name == "msm":
         def classify(train_sets, observations):
             gallery, obs = _query(train_sets, observations, fits_sets=True)
             q_eff = _subspace_q(q, gallery.sets, obs)
-            test = pca_subspace(obs, q_eff)
-            sims = [msm_similarity(fit.subspace(q_eff), test, msm_top)
+            test_fit = pca_fit(obs)
+            test = test_fit.subspace(min(q_eff, test_fit.rank))
+            sims = [msm_similarity(fit.subspace(min(q_eff, fit.rank)), test)
                     for fit in gallery.pca_fits(max(1, int(q)))]
-            decision, tie = _argmax_decision(sims)
+            decision, tie = _decide(sims, np.argmax)
             return Decision(decision, tuple(sims), tie)
 
     elif name == "kmsm":
@@ -263,22 +269,18 @@ def make_classifier(name: str, *, k: int = 5, sigma: float | None = None,
             if skern is None:
                 skern = gallery.index().sigma(obs, graph_config)
             kernel = gaussian_kernel(skern)
-            test = kpca_subspace(obs, q_eff, kernel=kernel)
-            sims = [kmsm_similarity(kpca_subspace(ts, q_eff, kernel=kernel), test, msm_top)
-                    for ts in gallery.sets]
-            decision, tie = _argmax_decision(sims)
+            test = _kernel_subspace("observation set", obs, q_eff, kernel)
+            sims = [kmsm_similarity(_kernel_subspace(f"class {p}", ts, q_eff, kernel), test)
+                    for p, ts in enumerate(gallery.sets, start=1)]
+            decision, tie = _decide(sims, np.argmax)
             return Decision(decision, tuple(sims), tie)
 
     else:  # kld
         def classify(train_sets, observations):
             gallery, obs = _query(train_sets, observations, fits_sets=True)
             test = fit_gaussian(obs, energy_cutoff)
-            models = gallery.gaussians(energy_cutoff)
-            if kld_symmetric:
-                scores = [symmetric_kl(test, mdl) for mdl in models]
-            else:
-                scores = [kl_gaussian(test, mdl) for mdl in models]
-            decision, tie = _argmin_decision(scores)
+            scores = [symmetric_kl(test, mdl) for mdl in gallery.gaussians(energy_cutoff)]
+            decision, tie = _decide(scores, np.argmin)
             return Decision(decision, tuple(scores), tie)
 
     return classify

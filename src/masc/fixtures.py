@@ -51,7 +51,6 @@ class RotatedRasterFixture:
         for cls, base in enumerate(self.bases, start=1):
             for _ in range(config.labeled_per_class):
                 labeled.append((self._variant(base, rng), cls))
-        self._labeled_patterns = labeled
         self.labeled = np.stack([vectorize(p) for p, _ in labeled])
         self.labeled_classes = np.asarray([cls for _, cls in labeled], dtype=int)
         self.virtual, self.virtual_classes = augment_virtual_samples(
@@ -128,23 +127,20 @@ class RotatedRasterFixture:
 class CurvedManifoldConfig:
     """Classes of noisy 1-D curves embedded in a higher-dimensional space.
 
-    Two curve families inside a 4-D latent space, mapped into ``ambient_dim``
-    dimensions by one random orthonormal matrix. ``kind="helix"`` (default)
-    advances along one axis while circling a ring plane tilted per class;
-    phase offsets keep the class curves geometrically apart even though
-    their means coincide and their covariances differ only weakly, so local
-    methods dominate global-summary methods. ``kind="sine"`` oscillates
-    along a per-class direction instead. Observation sets cover one short
-    random parameter window, i.e. a local patch of the curve.
+    Helixes inside a 4-D latent space, mapped into ``ambient_dim``
+    dimensions by one random orthonormal matrix. Each advances along one
+    axis while circling a ring plane tilted per class; phase offsets keep
+    the class curves geometrically apart even though their means coincide
+    and their covariances differ only weakly, so local methods dominate
+    global-summary methods. Observation sets cover one short random
+    parameter window, i.e. a local patch of the curve.
     """
 
     classes: int = 3
     ambient_dim: int = 20
     train_per_class: int = 48
-    kind: str = "helix"
     length: float = 6.0
     amplitude: float = 1.2
-    radial_offset: float = 0.0
     frequencies: tuple[float, ...] = (2.8, 2.8, 2.8)
     phases: tuple[float, ...] = (0.0, 2.0944, 4.1888)
     tilt_deg: tuple[float, ...] = (0.0, 50.0, 100.0)
@@ -155,8 +151,6 @@ class CurvedManifoldConfig:
     def __post_init__(self):
         if self.classes < 2:
             raise ValueError("need at least 2 classes")
-        if self.kind not in ("helix", "sine"):
-            raise ValueError("kind must be 'helix' or 'sine'")
         for name in ("frequencies", "phases", "tilt_deg"):
             if len(getattr(self, name)) != self.classes:
                 raise ValueError(f"{name} must have one entry per class")
@@ -186,32 +180,20 @@ class CurvedManifoldFixture:
         ts = np.asarray(ts, dtype=float)
         phase = 2.0 * np.pi * cfg.frequencies[i] * ts + cfg.phases[i]
         tilt = np.radians(cfg.tilt_deg[i])
-        if cfg.kind == "helix":
-            # phase-shifted helixes on per-class tilted ring planes: class
-            # means coincide and covariances differ only through the tilt
-            # direction, while the curves themselves never come closer than
-            # the x-advance corresponding to the phase offset
-            r = cfg.radial_offset + cfg.amplitude
-            latent = np.stack(
-                [
-                    cfg.length * ts,
-                    r * np.cos(phase),
-                    r * np.sin(phase) * np.cos(tilt),
-                    r * np.sin(phase) * np.sin(tilt),
-                ],
-                axis=1,
-            )
-        else:
-            radial = cfg.radial_offset + cfg.amplitude * np.sin(phase)
-            latent = np.stack(
-                [
-                    cfg.length * ts,
-                    radial * np.cos(tilt),
-                    radial * np.sin(tilt),
-                    np.zeros_like(ts),
-                ],
-                axis=1,
-            )
+        # phase-shifted helixes on per-class tilted ring planes: class means
+        # coincide and covariances differ only through the tilt direction,
+        # while the curves themselves never come closer than the x-advance
+        # corresponding to the phase offset
+        r = cfg.amplitude
+        latent = np.stack(
+            [
+                cfg.length * ts,
+                r * np.cos(phase),
+                r * np.sin(phase) * np.cos(tilt),
+                r * np.sin(phase) * np.sin(tilt),
+            ],
+            axis=1,
+        )
         return latent @ self._embed.T
 
     def sample(self, class_id: int, ts, rng) -> np.ndarray:

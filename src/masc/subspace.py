@@ -9,6 +9,8 @@ import numpy as np
 import scipy.linalg
 from scipy.spatial.distance import cdist, pdist, squareform
 
+from .data import DataError
+
 
 @dataclass(frozen=True)
 class Subspace:
@@ -38,7 +40,6 @@ class KernelSubspace:
     col_means: np.ndarray    # (n,) column means of the uncentered kernel matrix
     grand_mean: float
     eigenvalues: np.ndarray  # (q,), descending Gram eigenvalues
-    sigma: float | None = None  # Gaussian bandwidth; None for injected kernels
 
     @property
     def q(self) -> int:
@@ -70,6 +71,7 @@ class PCAFit:
     svals: np.ndarray  # (r,), descending
     Vt: np.ndarray     # (r, d), leading right singular vectors as rows
     n: int
+    rank: int          # numerical rank of the centered set
 
     def subspace(self, q: int) -> Subspace:
         """Top-q eigenvectors of the sample covariance."""
@@ -82,18 +84,23 @@ class PCAFit:
         return Subspace(basis=basis, mean=self.mean, eigenvalues=eigenvalues)
 
 
-def pca_fit(X, rank: int | None = None) -> PCAFit:
+def pca_fit(X, keep: int | None = None) -> PCAFit:
     """Thin SVD of the centered set, the Gram-side eigenproblem when the set
-    is smaller than the dimension; ``rank`` keeps only that many leading
-    directions."""
+    is smaller than the dimension; ``keep`` keeps only that many leading
+    directions.
+
+    The fit's ``rank`` counts every singular value above max(n, d)·eps times
+    the largest, numpy's ``matrix_rank`` tolerance, kept or not.
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValueError("need a 2-D set with at least 2 samples")
     mean = X.mean(axis=0)
     _, svals, Vt = np.linalg.svd(X - mean, full_matrices=False)
-    if rank is not None:
-        svals, Vt = svals[:rank].copy(), Vt[:rank].copy()
-    return PCAFit(mean=mean, svals=svals, Vt=Vt, n=X.shape[0])
+    rank = int(np.count_nonzero(svals > max(X.shape) * np.finfo(float).eps * svals[0]))
+    if keep is not None:
+        svals, Vt = svals[:keep].copy(), Vt[:keep].copy()
+    return PCAFit(mean=mean, svals=svals, Vt=Vt, n=X.shape[0], rank=rank)
 
 
 def pca_subspace(X, q: int) -> Subspace:
@@ -117,18 +124,11 @@ def principal_angles(a, b) -> np.ndarray:
     return np.sort(scipy.linalg.subspace_angles(A, B))
 
 
-def msm_similarity(a, b, top: int = 1) -> float:
-    """Set-to-set similarity in [0, 1]: mean of the top squared cosines.
-
-    The default top=1 scores by the squared largest canonical correlation.
-    """
+def msm_similarity(a, b) -> float:
+    """Set-to-set similarity in [0, 1]: the squared largest canonical correlation."""
     A, B = _basis(a), _basis(b)
-    svals = scipy.linalg.svd(A.T @ B, compute_uv=False)
-    svals = np.clip(svals, 0.0, 1.0)
-    top = min(int(top), svals.size)
-    if top < 1:
-        raise ValueError("top >= 1 required")
-    return float(np.mean(svals[:top] ** 2))
+    cos = np.clip(scipy.linalg.svd(A.T @ B, compute_uv=False), 0.0, 1.0)
+    return float(cos[0] * cos[0])
 
 
 def gaussian_kernel(sigma: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
@@ -147,23 +147,18 @@ def gaussian_kernel(sigma: float) -> Callable[[np.ndarray, np.ndarray], np.ndarr
     return kernel
 
 
-def kpca_subspace(X, q: int, sigma: float | None = None, kernel=None) -> KernelSubspace:
+def kpca_subspace(X, q: int, kernel) -> KernelSubspace:
     """Kernel PCA of one set: eigendecomposition of the double-centered kernel.
 
+    ``kernel`` is a two-set Gram callable such as :func:`gaussian_kernel`.
     Coefficients are scaled by 1/sqrt(eigenvalue) so the mapped basis is
-    orthonormal in feature space. Pass ``kernel`` to override the Gaussian
-    kernel (e.g. a linear kernel for consistency checks against plain PCA).
+    orthonormal in feature space. A set whose centered kernel matrix has
+    fewer than q positive eigenvalues raises :class:`DataError`.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
     if not 1 <= q <= n - 1:
         raise ValueError(f"q must be in 1..{n - 1} for a set of {n} samples, got {q}")
-    bandwidth = None
-    if kernel is None:
-        if sigma is None:
-            raise ValueError("either sigma or kernel must be given")
-        bandwidth = float(sigma)
-        kernel = gaussian_kernel(sigma)
     K = kernel(X, X)
     col_means = K.mean(axis=0)
     grand = float(K.mean())
@@ -174,7 +169,7 @@ def kpca_subspace(X, q: int, sigma: float | None = None, kernel=None) -> KernelS
     vals = vals[::-1][:q]
     vecs = vecs[:, ::-1][:, :q]
     if np.any(vals <= floor):
-        raise ValueError(f"non-positive retained kernel eigenvalue (q={q} too large)")
+        raise DataError(f"non-positive retained kernel eigenvalue (q={q} too large)")
     coeffs = _fix_signs(vecs) / np.sqrt(vals)[None, :]
     return KernelSubspace(
         samples=X,
@@ -183,7 +178,6 @@ def kpca_subspace(X, q: int, sigma: float | None = None, kernel=None) -> KernelS
         col_means=col_means,
         grand_mean=grand,
         eigenvalues=vals,
-        sigma=bandwidth,
     )
 
 
@@ -206,10 +200,8 @@ def kernel_principal_angles(a: KernelSubspace, b: KernelSubspace) -> np.ndarray:
     return np.arccos(np.clip(svals, 0.0, 1.0))
 
 
-def kmsm_similarity(a: KernelSubspace, b: KernelSubspace, top: int = 1) -> float:
+def kmsm_similarity(a: KernelSubspace, b: KernelSubspace) -> float:
+    """The squared largest canonical correlation in feature space."""
     cos = np.cos(kernel_principal_angles(a, b))
-    top = min(int(top), cos.size)
-    if top < 1:
-        raise ValueError("top >= 1 required")
-    return float(np.mean(cos[:top] ** 2))
+    return float(cos[0] * cos[0])
 

@@ -99,6 +99,26 @@ class TestClassify:
         assert code == 3
         assert "observation set has no spread" in err
 
+    @pytest.mark.parametrize("name,code", [("msm", 0), ("kmsm", 3)])
+    def test_two_distinct_observations(self, capsys, tmp_path, name, code):
+        # two distinct rows three times each: rank 1 once centered, below q = 2
+        rng = np.random.default_rng(1)
+        ds = Dataset(
+            labeled=np.vstack([rng.normal(size=(6, 3)) + 4.0 * p for p in range(3)]),
+            labeled_classes=[1] * 6 + [2] * 6 + [3] * 6,
+            observations=np.repeat(rng.normal(size=(2, 3)) + 4.0, 3, axis=0),
+            c=3,
+        )
+        path = tmp_path / "two.csv"
+        save_dataset(ds, path)
+        got, out, err = run(capsys, "classify", "--classifier", name, "--q", "2",
+                            "--input", str(path))
+        assert got == code
+        if code == 0:
+            assert json.loads(out)["tie"] is False
+        else:
+            assert "observation set has too few distinct samples" in err
+
     def test_kld_energy_cutoff_one_with_sets_no_larger_than_d(self, capsys, tmp_path):
         rng = np.random.default_rng(1)
         ds = Dataset(
@@ -259,6 +279,21 @@ def test_defaults_pinned():
     assert cfg.mu == 1.0
     assert cfg.sigma is None and cfg.sigma_kernel is None  # median heuristic
     assert RotatedRasterConfig().theta_range == (-40.0, 40.0)
+
+
+def test_every_classifier_keyword_is_reachable(monkeypatch):
+    # a make_classifier keyword the CLI never sets is an option no caller has
+    import inspect
+
+    import masc.cli
+    from masc.cli import ExperimentConfig
+    from masc.evaluate import make_classifier
+
+    seen = {}
+    monkeypatch.setattr(masc.cli, "make_classifier",
+                        lambda name, **kwargs: seen.update(kwargs))
+    masc.cli._classifier_from(ExperimentConfig())
+    assert set(seen) == set(inspect.signature(make_classifier).parameters) - {"name"}
 
 
 def test_help_exits_zero(capsys):

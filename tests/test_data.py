@@ -13,12 +13,11 @@ from masc.data import (
     ParseError,
     augment_virtual_samples,
     dataset_to_csv,
-    devectorize,
-    generate_observation_set,
     load_dataset,
     load_gallery,
     resample_set,
     rotate_pattern,
+    rotation_set,
     save_dataset,
     save_gallery,
     vectorize,
@@ -170,21 +169,26 @@ class TestRotatePattern:
 def test_vectorize_round_trip():
     rng = np.random.default_rng(3)
     p = rng.random((5, 7))
-    np.testing.assert_array_equal(devectorize(vectorize(p), (5, 7)), p)
+    np.testing.assert_array_equal(vectorize(p).reshape((5, 7), order="F"), p)
     # column-major order pins the layout
     assert vectorize(p)[1] == p[1, 0]
+
+
+def observation_set(pattern, m, theta_range, seed):
+    samples, _ = rotation_set(pattern, m, theta_range, np.random.default_rng(seed))
+    return samples
 
 
 class TestGenerateObservationSet:
     def test_degenerate_range_single_sample(self):
         p = np.arange(12.0).reshape(3, 4)
-        out = generate_observation_set(p, 1, (0.0, 0.0), seed=0)
+        out = observation_set(p, 1, (0.0, 0.0), seed=0)
         np.testing.assert_array_equal(out[0], vectorize(p))
 
     def test_deterministic(self):
         p = np.random.default_rng(4).random((6, 6))
-        a = generate_observation_set(p, 7, (-40, 40), seed=123)
-        b = generate_observation_set(p, 7, (-40, 40), seed=123)
+        a = observation_set(p, 7, (-40, 40), seed=123)
+        b = observation_set(p, 7, (-40, 40), seed=123)
         np.testing.assert_array_equal(a, b)
 
     def test_spread_and_bounds(self):
@@ -200,7 +204,7 @@ class TestGenerateObservationSet:
     def test_collision_cap(self):
         p = np.zeros((3, 3))
         with pytest.raises(ValueError, match="distinct"):
-            generate_observation_set(p, 2, (5.0, 5.0), seed=0)
+            observation_set(p, 2, (5.0, 5.0), seed=0)
 
 
 class TestAugmentVirtualSamples:

@@ -16,6 +16,8 @@ from masc.evaluate import (
     session_pair_errors,
     sweep_to_csv,
 )
+from masc.fixtures import FIXTURES, make_fixture
+from masc.subspace import pca_subspace
 
 
 class TestErrorRate:
@@ -207,6 +209,71 @@ def test_one_row_sets(name, train, obs, message):
         return
     with pytest.raises(DataError, match=message):
         classify(train, obs)
+
+
+def _two_distinct_rows(where):
+    """Three 6-row classes in d = 3 and 6 observations, where the named set
+    holds two distinct rows three times each: rank 1 once centered."""
+    rng = np.random.default_rng(1)
+    train = [rng.normal(size=(6, 3)) + 4.0 * p for p in range(3)]
+    obs = rng.normal(size=(6, 3)) + 4.0
+    if where == "observation set":
+        return train, np.repeat(obs[:2], 3, axis=0)
+    return [train[0], np.repeat(train[1][:2], 3, axis=0), train[2]], obs
+
+
+def _squared_cosine(line_set, plane_set):
+    """Squared cosine between the line through the two distinct rows of
+    ``line_set`` and the 2-D principal subspace of ``plane_set``."""
+    a, b = np.unique(line_set, axis=0)
+    u = b - a
+    u = u / np.linalg.norm(u)
+    return float(np.sum((pca_subspace(plane_set, 2).basis.T @ u) ** 2))
+
+
+def test_msm_caps_each_subspace_at_its_rank():
+    # uncapped, a rank-1 set at q = 2 gets a second, arbitrary direction, and
+    # two planes in d = 3 always share a line: every score would be 1, a tie
+    train, obs = _two_distinct_rows("observation set")
+    dec = make_classifier("msm", q=2)(train, obs)
+    want = [_squared_cosine(obs, ts) for ts in train]
+    np.testing.assert_allclose(dec.scores, want, rtol=1e-10)
+    assert max(dec.scores) < 0.9 and not dec.tie
+    assert dec.decision == int(np.argmax(want)) + 1
+
+    train, obs = _two_distinct_rows("class 2")
+    dec = make_classifier("msm", q=2)(train, obs)
+    assert dec.scores[1] == pytest.approx(_squared_cosine(train[1], obs), rel=1e-10)
+
+
+@pytest.mark.parametrize("where", ["observation set", "class 2"])
+def test_kmsm_rejects_a_set_with_too_few_distinct_rows(where):
+    train, obs = _two_distinct_rows(where)
+    with pytest.raises(DataError, match=f"^{where} has too few distinct samples"):
+        make_classifier("kmsm", q=2)(train, obs)
+
+
+_FIXTURES = {name: make_fixture(name, seed=0) for name in FIXTURES}
+
+
+@given(fixture=st.sampled_from(FIXTURES), j=st.integers(-3, 4),
+       seed=st.integers(0, 2**32 - 1), m=st.integers(5, 40))
+@settings(max_examples=30, deadline=None)
+def test_power_of_two_scaling_keeps_scores(fixture, j, seed, m):
+    # scaling by 2^j is exact in binary floating point and the median
+    # heuristics scale along, so only the log-determinants of kld round
+    fix = _FIXTURES[fixture]
+    rng = np.random.default_rng(seed)
+    train, obs = fix.make_instance(int(rng.integers(1, fix.classes + 1)), m, rng)
+    for name in CLASSIFIERS:
+        classify = make_classifier(name)
+        base = classify(train, obs)
+        scaled = classify([ts * 2.0**j for ts in train], obs * 2.0**j)
+        assert (scaled.decision, scaled.tie) == (base.decision, base.tie)
+        if name == "kld":
+            np.testing.assert_allclose(scaled.scores, base.scores, rtol=1e-12, atol=0)
+        else:
+            assert scaled.scores == base.scores
 
 
 def test_kld_energy_cutoff_one_on_sets_no_larger_than_d():

@@ -89,8 +89,6 @@ class TestCurvedManifoldFixture:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             CurvedManifoldConfig(frequencies=(1.0,))
-        with pytest.raises(ValueError):
-            CurvedManifoldConfig(kind="spiral")
 
 
 def test_make_fixture_dispatch():

@@ -179,7 +179,7 @@ class TestKpca:
     def test_feature_basis_orthonormal(self):
         rng = np.random.default_rng(14)
         X = rng.normal(size=(15, 6))
-        sub = kpca_subspace(X, 4, sigma=1.5)
+        sub = kpca_subspace(X, 4, kernel=gaussian_kernel(1.5))
         K = gaussian_kernel(1.5)(X, X)
         n = K.shape[0]
         J = np.eye(n) - np.ones((n, n)) / n
