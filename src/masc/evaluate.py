@@ -223,7 +223,9 @@ def make_classifier(name: str, *, k: int = 5, sigma: float | None = None,
     queries keep arriving with the same sets; see :class:`_LatestGallery`.
     The subspace dimension is capped at (smallest set size - 1) so thin sets
     stay usable; msm further caps each set's subspace at that set's
-    numerical rank, and kmsm rejects a set whose kernel matrix is too thin.
+    numerical rank, the observation subspace below d and each class subspace
+    at d minus the observation subspace's dimension, and kmsm rejects a set
+    whose kernel matrix is too thin.
     msm and kmsm score by the squared largest canonical correlation, kld by
     the symmetrized KL divergence.
     """
@@ -253,10 +255,14 @@ def make_classifier(name: str, *, k: int = 5, sigma: float | None = None,
     elif name == "msm":
         def classify(train_sets, observations):
             gallery, obs = _query(train_sets, observations, fits_sets=True)
-            q_eff = _subspace_q(q, gallery.sets, obs)
+            q_eff, d = _subspace_q(q, gallery.sets, obs), obs.shape[1]
             test_fit = pca_fit(obs)
-            test = test_fit.subspace(min(q_eff, test_fit.rank))
-            sims = [msm_similarity(fit.subspace(min(q_eff, fit.rank)), test)
+            # subspaces of dimensions a and b in R^d share a direction once
+            # a + b > d, and every score would be 1: the classes get the room
+            # the observation subspace leaves
+            q_test = max(1, min(q_eff, test_fit.rank, d - 1))
+            test = test_fit.subspace(q_test)
+            sims = [msm_similarity(fit.subspace(min(q_eff, fit.rank, max(1, d - q_test))), test)
                     for fit in gallery.pca_fits(max(1, int(q)))]
             decision, tie = _decide(sims, np.argmax)
             return Decision(decision, tuple(sims), tie)

@@ -52,6 +52,27 @@ class SimilarityGraph:
 
 
 _BLOCK = 1 << 17  # matrix entries per row block of the gallery's k-NN selection
+_WINDOWS = 8  # sigma windows a gallery keeps, the most recently used
+
+
+@dataclass(frozen=True)
+class _SigmaWindow:
+    """What one sample size's median sigma needs from the gallery alone.
+
+    ``li`` and ``oi`` are the gallery and observation rows the seeded
+    subsample keeps (both None when it keeps every row), ``pairs`` the
+    positions of the kept observation pairs in the condensed m-point
+    distances, and ``values`` the squared gallery distances whose ranks can
+    hold the median: a query's own distances sit among them with the two
+    middle values at ranks ``lo`` and ``hi``.
+    """
+
+    li: np.ndarray | None
+    oi: np.ndarray | None
+    pairs: np.ndarray | None
+    values: np.ndarray
+    lo: int
+    hi: int
 
 
 class GalleryIndex:
@@ -70,6 +91,7 @@ class GalleryIndex:
         self.X = X
         self.d2 = pdist(X, "sqeuclidean")
         self._lists: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._windows: dict[tuple[int, int, int], _SigmaWindow] = {}
         self._lock = threading.Lock()
 
     @property
@@ -92,6 +114,20 @@ class GalleryIndex:
                 lists = self._lists[k] = (np.concatenate([p[0] for p in parts]),
                                           np.concatenate([p[1] for p in parts]))
         return lists
+
+    def window(self, m: int, config: GraphConfig) -> _SigmaWindow:
+        """The sigma window for queries of m observations, built on the
+        first such query; the :data:`_WINDOWS` most recently used are kept."""
+        n = self.l + m
+        key = (n, min(n, config.sigma_sample_cap), config.sigma_seed)
+        with self._lock:
+            window = self._windows.pop(key, None)
+            if window is None:
+                window = _sigma_window(self, m, key[1], config.sigma_seed)
+            self._windows[key] = window  # reinserted last: most recently used
+            if len(self._windows) > _WINDOWS:
+                del self._windows[next(iter(self._windows))]
+        return window
 
     def sigma(self, obs, config: GraphConfig = GraphConfig()) -> float:
         """The median-heuristic sigma of the gallery rows stacked on ``obs``."""
@@ -120,10 +156,14 @@ def _nearest(D, k: int) -> tuple[np.ndarray, np.ndarray]:
     return np.take_along_axis(cols, order, axis=1), np.take_along_axis(vals, order, axis=1)
 
 
-def _half_median(d2) -> float:
-    """Half the median of the distances whose squares are ``d2``, which is
-    reordered in place."""
-    lo, hi = (d2.size - 1) // 2, d2.size // 2
+def _middle(size: int) -> tuple[int, int]:
+    """Ranks of the two middle values among ``size`` values."""
+    return (size - 1) // 2, size // 2
+
+
+def _half_median(d2, lo: int, hi: int) -> float:
+    """Half the average of the distances whose squares have ranks ``lo`` and
+    ``hi`` in ``d2``, which is reordered in place."""
     d2.partition([lo, hi])
     # sqrt is monotone and sqrt(sqeuclidean) equals scipy's euclidean bit
     # for bit, so this is the median of the plain distances, averaged as
@@ -148,35 +188,69 @@ def _among(d2, n: int, idx, out) -> None:
         pos += row.size
 
 
+def _sigma_window(gallery: GalleryIndex, m: int, take: int, seed: int) -> _SigmaWindow:
+    """The gallery's part of the median sigma of ``take`` of its l rows
+    stacked on m observations.
+
+    The subsample depends on n = l + m, ``take`` and ``seed`` only, so the
+    set A of gallery pair distances it holds is fixed, and a query adds
+    |B| = N - |A| values of its own, N = take(take-1)/2. If the value of
+    rank K among all N comes from A, at most |B| values of B come before
+    it, so its rank within A lies in [K - |B|, K]. The middle ranks
+    lo <= hi therefore draw only on A's ranks [s, e), s = max(0, lo - |B|)
+    and e = min(|A|, hi + 1). A's values of rank below s come before both
+    middle values and those of rank e and above after them, so among the
+    window A[s:e] and B the middle values have ranks lo - s and hi - s.
+    The window need not be sorted.
+    """
+    l = gallery.l
+    n = l + m
+    if take == n:
+        li = oi = pairs = None
+        A = gallery.d2.copy()
+    else:
+        rng = np.random.default_rng(seed)
+        idx = np.sort(rng.choice(n, size=take, replace=False))
+        li, oi = idx[idx < l], idx[idx >= l] - l
+        A = np.empty(li.size * (li.size - 1) // 2)
+        _among(gallery.d2, l, li, A)
+        i, j = (oi[t] for t in np.triu_indices(oi.size, 1))
+        pairs = m * i - i * (i + 1) // 2 + j - i - 1  # condensed position of (i, j)
+    N = take * (take - 1) // 2
+    lo, hi = _middle(N)
+    s = max(0, lo - (N - A.size))
+    e = min(A.size, hi + 1)
+    if e > s:
+        A.partition([s, e - 1])
+    return _SigmaWindow(li, oi, pairs, A[s:e].copy(), lo - s, hi - s)
+
+
 def _median_sigma(gallery: GalleryIndex, C, Pc, config: GraphConfig) -> float:
     """:func:`estimate_sigma` of the gallery rows stacked on m observations,
-    from the cached gallery distances, the m x l cross block ``C`` and the
-    condensed observation distances ``Pc``."""
-    l, m = gallery.l, C.shape[0]
-    n = l + m
-    take = min(n, config.sigma_sample_cap)
-    if take == n:
-        return _half_median(np.concatenate([gallery.d2, C.ravel(), Pc]))
-    rng = np.random.default_rng(config.sigma_seed)
-    idx = np.sort(rng.choice(n, size=take, replace=False))
-    li, oi = idx[idx < l], idx[idx >= l] - l
-    inner = li.size * (li.size - 1) // 2
-    cross = inner + li.size * oi.size
-    d2 = np.empty(take * (take - 1) // 2)
-    _among(gallery.d2, l, li, d2[:inner])
-    d2[inner:cross] = C[np.ix_(oi, li)].ravel()
-    _among(Pc, m, oi, d2[cross:])
-    return _half_median(d2)
+    from the m x l cross block ``C`` and the condensed observation distances
+    ``Pc``.
+
+    The gallery's share comes from its cached sigma window for this m (see
+    :func:`_sigma_window`), so after the first query of each m the cost is
+    O(m·take) for gathering and partitioning the query's own values instead
+    of O(take²).
+    """
+    w = gallery.window(C.shape[0], config)
+    if w.li is None:
+        d2 = np.concatenate([w.values, C.ravel(), Pc])
+    else:
+        d2 = np.concatenate([w.values, C[np.ix_(w.oi, w.li)].ravel(), Pc[w.pairs]])
+    return _half_median(d2, w.lo, w.hi)
 
 
 def estimate_sigma(X, config: GraphConfig = GraphConfig()) -> float:
     """Half the median pairwise distance of a seeded subsample.
 
     This is the reference definition of the median heuristic. The classify
-    path computes the same value from cached gallery distances in
-    :func:`_median_sigma` and never calls this function. It stays public
-    because the tests pin the heuristic through it and the benchmark tracer
-    reports it by name.
+    path computes the same value bit for bit in :func:`_median_sigma`, from
+    a per-gallery window of order statistics and the query's own distances,
+    and never calls this function. It stays public because the tests pin
+    the heuristic through it and the benchmark tracer reports it by name.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
@@ -185,7 +259,8 @@ def estimate_sigma(X, config: GraphConfig = GraphConfig()) -> float:
     rng = np.random.default_rng(config.sigma_seed)
     take = min(n, config.sigma_sample_cap)
     idx = rng.choice(n, size=take, replace=False)
-    return _half_median(pdist(X[idx], "sqeuclidean"))
+    d2 = pdist(X[idx], "sqeuclidean")
+    return _half_median(d2, *_middle(d2.size))
 
 
 def build_knn_graph(X, config: GraphConfig = GraphConfig(),

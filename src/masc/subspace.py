@@ -135,7 +135,10 @@ def gaussian_kernel(sigma: float) -> Callable[[np.ndarray, np.ndarray], np.ndarr
     """k(x, y) = exp(-||x - y||^2 / (2 sigma^2)) as a two-set Gram callable."""
     if not sigma > 0:
         raise ValueError("sigma_kernel must be > 0")
-    s2 = 2.0 * float(sigma) ** 2
+    sigma = float(sigma)
+    # a product, not sigma ** 2: pow may round one ulp off, and then the
+    # kernel of 2^j X with 2^j sigma is no longer bitwise that of X
+    s2 = 2.0 * sigma * sigma
 
     def kernel(A, B):
         A = np.atleast_2d(np.asarray(A, dtype=float))

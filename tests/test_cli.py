@@ -119,6 +119,24 @@ class TestClassify:
         else:
             assert "observation set has too few distinct samples" in err
 
+    def test_msm_with_subspaces_too_wide_for_d(self, capsys, tmp_path):
+        # two planes in d = 3 always share a line: the classes get lines
+        rng = np.random.default_rng(1)
+        ds = Dataset(
+            labeled=np.vstack([rng.normal(size=(6, 3)) + 4.0 * p for p in range(3)]),
+            labeled_classes=[1] * 6 + [2] * 6 + [3] * 6,
+            observations=rng.normal(size=(6, 3)) + 4.0,
+            c=3,
+        )
+        path = tmp_path / "wide.csv"
+        save_dataset(ds, path)
+        code, out, _ = run(capsys, "classify", "--classifier", "msm", "--q", "2",
+                           "--input", str(path))
+        assert code == 0
+        got = json.loads(out)
+        assert got["tie"] is False
+        assert max(got["scores"]) < 0.9
+
     def test_kld_energy_cutoff_one_with_sets_no_larger_than_d(self, capsys, tmp_path):
         rng = np.random.default_rng(1)
         ds = Dataset(

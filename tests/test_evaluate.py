@@ -246,6 +246,20 @@ def test_msm_caps_each_subspace_at_its_rank():
     assert dec.scores[1] == pytest.approx(_squared_cosine(train[1], obs), rel=1e-10)
 
 
+def test_msm_leaves_the_classes_the_room_the_observations_leave():
+    # full-rank sets in d = 3 at q = 2: two planes in R^3 always share a
+    # line, so uncapped every score was 1 and the tie went to class 1
+    rng = np.random.default_rng(1)
+    train = [rng.normal(size=(6, 3)) + 4.0 * p for p in range(3)]
+    obs = rng.normal(size=(6, 3)) + 4.0
+    dec = make_classifier("msm", q=2)(train, obs)
+    plane = pca_subspace(obs, 2).basis
+    want = [float(np.sum((plane.T @ pca_subspace(ts, 1).basis) ** 2)) for ts in train]
+    np.testing.assert_allclose(dec.scores, want, rtol=1e-10)
+    assert max(dec.scores) < 0.9 and not dec.tie
+    assert dec.decision == int(np.argmax(want)) + 1
+
+
 @pytest.mark.parametrize("where", ["observation set", "class 2"])
 def test_kmsm_rejects_a_set_with_too_few_distinct_rows(where):
     train, obs = _two_distinct_rows(where)

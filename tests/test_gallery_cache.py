@@ -5,11 +5,14 @@ decisions with a reference path that fits every set per call, and kld's
 also with the dense Gaussian fit and KL in ``oracles``.
 """
 
+import re
 import sys
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from masc.evaluate import CLASSIFIERS, Decision, make_classifier
 from masc.fixtures import (
@@ -18,7 +21,7 @@ from masc.fixtures import (
     RotatedRasterConfig,
     RotatedRasterFixture,
 )
-from masc.graph import GalleryIndex, GraphConfig, build_knn_graph, estimate_sigma
+from masc.graph import _WINDOWS, GalleryIndex, GraphConfig, build_knn_graph, estimate_sigma
 from masc.labelprop import LPConfig, row_labels
 from masc.smoothing import masc_classify, one_hot_labels
 from masc.statdist import fit_gaussian, kl_gaussian
@@ -86,6 +89,174 @@ def test_sigma_matches_reference_bitwise(X, l, config):
         return
     assert estimate_sigma(X, config) == want
     assert GalleryIndex(X[:l]).sigma(X[l:], config) == want
+
+
+# -- sigma windows ------------------------------------------------------------
+
+def assert_sigma(index, X, config):
+    """The index's sigma of ``X`` (its gallery rows, then observations)
+    equals the reference bitwise, or both reject a zero median."""
+    try:
+        want = reference_sigma(X, config)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            index.sigma(X[index.l:], config)
+        return
+    assert index.sigma(X[index.l:], config) == want
+
+
+def points(rng, n, d, grid):
+    """n points in d dimensions, on the integer grid {0, 1, 2}^d (ties and
+    duplicate rows) or normal."""
+    if grid:
+        return rng.integers(0, 3, size=(n, d)).astype(float)
+    return rng.normal(size=(n, d))
+
+
+@pytest.mark.parametrize("grid", [False, True])
+@pytest.mark.parametrize("cap", [120, 1000])
+def test_sigma_over_a_stream_of_set_sizes(grid, cap):
+    # cap 120 subsamples every query; cap 1000 keeps all 300 + m rows
+    rng = np.random.default_rng(5)
+    gallery = points(rng, 300, 4, grid)
+    config = GraphConfig(sigma_sample_cap=cap)
+    warm = GalleryIndex(gallery)
+    for m in (10, 50, 150, 10, 1, 1, 50):
+        X = np.vstack([gallery, points(rng, m, 4, grid)])
+        assert_sigma(GalleryIndex(gallery), X, config)
+        assert_sigma(warm, X, config)
+
+
+def test_sigma_with_duplicate_rows_in_gallery_and_observations():
+    rng = np.random.default_rng(6)
+    rows = rng.normal(size=(40, 3))
+    gallery = np.repeat(rows, 3, axis=0)
+    warm = GalleryIndex(gallery)
+    for cap, m in ((50, 12), (500, 12), (50, 30), (500, 30)):
+        X = np.vstack([gallery, np.repeat(rows[:m // 3], 3, axis=0)])
+        assert_sigma(warm, X, GraphConfig(sigma_sample_cap=cap))
+
+
+@pytest.mark.parametrize("kept", [0, 1])
+def test_subsample_keeping_few_observations(kept):
+    rng = np.random.default_rng(7)
+    gallery, l, m = rng.normal(size=(40, 2)), 40, 3
+    index = GalleryIndex(gallery)
+    seed = next(s for s in range(200)
+                if index.window(m, GraphConfig(sigma_sample_cap=6, sigma_seed=s)).oi.size == kept)
+    config = GraphConfig(sigma_sample_cap=6, sigma_seed=seed)
+    for _ in range(3):
+        X = np.vstack([gallery, rng.normal(size=(m, 2))])
+        assert_sigma(GalleryIndex(gallery), X, config)
+        assert_sigma(index, X, config)
+    assert index.window(m, config).oi.size == kept
+
+
+@pytest.mark.parametrize("l", [1, 2])
+def test_gallery_too_small_to_hold_a_pair(l):
+    rng = np.random.default_rng(8)
+    gallery = rng.normal(size=(l, 2))
+    index = GalleryIndex(gallery)
+    empty = 0
+    for m in (1, 2, 5, 1):
+        for cap, seed in ((2, 0), (2, 1), (3, 0), (3, 4), (l + m, 0)):
+            config = GraphConfig(sigma_sample_cap=cap, sigma_seed=seed)
+            X = np.vstack([gallery, rng.normal(size=(m, 2))])
+            assert_sigma(index, X, config)
+            empty += index.window(m, config).values.size == 0
+    assert empty  # some subsample kept no gallery pair
+
+
+def test_two_configs_on_one_gallery():
+    rng = np.random.default_rng(9)
+    gallery = points(rng, 120, 3, True)
+    configs = [GraphConfig(sigma_sample_cap=60, sigma_seed=0),
+               GraphConfig(sigma_sample_cap=90, sigma_seed=3)]
+    index = GalleryIndex(gallery)
+    for step in range(6):
+        m = (5, 40)[step % 2]
+        X = np.vstack([gallery, points(rng, m, 3, True)])
+        for config in configs:
+            assert_sigma(index, X, config)
+    assert len(index._windows) == 4
+
+
+def test_windows_are_bounded_to_the_most_recently_used():
+    rng = np.random.default_rng(10)
+    index = GalleryIndex(rng.normal(size=(30, 2)))
+    config = GraphConfig(sigma_sample_cap=20)
+    for m in range(1, 13):
+        index.sigma(rng.normal(size=(m, 2)), config)
+    index.sigma(rng.normal(size=(5, 2)), config)  # a hit moves m = 5 to the end
+    index.sigma(rng.normal(size=(13, 2)), config)  # and evicts m = 6, not 5
+    kept = [n - 30 for n, _, _ in index._windows]
+    assert kept == [7, 8, 9, 10, 11, 12, 5, 13][-_WINDOWS:]
+
+
+def test_threads_sharing_windows_get_the_reference_sigma():
+    rng = np.random.default_rng(11)
+    gallery = points(rng, 200, 3, True)
+    config = GraphConfig(sigma_sample_cap=150)
+    queries = [points(rng, m, 3, True) for m in range(1, 13) for _ in range(2)]
+    want = [reference_sigma(np.vstack([gallery, obs]), config) for obs in queries]
+    index = GalleryIndex(gallery)
+    wrong = []
+
+    def worker(offset):
+        for i in range(3 * len(queries)):
+            q = (i * 5 + offset) % len(queries)
+            if index.sigma(queries[q], config) != want[q]:
+                wrong.append(q)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert len(index._windows) == _WINDOWS
+
+
+@given(seed=st.integers(0, 2**32 - 1), l=st.integers(2, 60), d=st.integers(1, 5),
+       k=st.integers(1, 5), grid=st.booleans(), sigma_seed=st.integers(0, 2**16),
+       data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_sigma_and_masc_match_the_references_on_random_galleries(seed, l, d, k, grid,
+                                                                 sigma_seed, data):
+    m = data.draw(st.integers(1, 40), label="m")
+    cap = data.draw(st.integers(2, l + m + 3), label="cap")
+    assume(l + m > k)
+    rng = np.random.default_rng(seed)
+    X = points(rng, l + m, d, grid)
+    config = GraphConfig(k=k, sigma_sample_cap=cap, sigma_seed=sigma_seed)
+    index = GalleryIndex(X[:l])
+    for _ in range(2):  # cold, then warm
+        assert_sigma(index, X, config)
+
+    c = min(3, l)
+    sets = np.array_split(X[:l], c)
+    classify = make_classifier("masc", k=k, sigma_sample_cap=cap, sigma_seed=sigma_seed)
+    try:
+        g = reference_knn_graph(X, config)
+        Y_l = one_hot_labels(np.repeat(np.arange(1, c + 1), [len(ts) for ts in sets]), c)
+        res = masc_classify(g.S, Y_l, m)
+    except ValueError as exc:  # a zero median or a node of zero degree
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            classify(sets, X[l:])
+        return
+    want = Decision(res.decision, tuple(float(v) for v in res.scores), res.tie)
+    try:
+        classify([ts + 0.5 for ts in sets], X[l:])  # evicts sets: the next call is cold
+    except ValueError:
+        pass
+    assert same_decision(classify(sets, X[l:]), want)
+    assert same_decision(classify(sets, X[l:]), want)
 
 
 def test_graph_rejects_rows_that_are_not_the_gallery():

@@ -174,6 +174,15 @@ class TestKernelMatrix:
             assert scipy.linalg.eigh(K, eigvals_only=True).min() >= -1e-10
             np.testing.assert_array_equal(K, K.T)
 
+    def test_power_of_two_scaling_keeps_every_bit(self):
+        # sigma ** 2 through libm's pow rounds this sigma's square one ulp
+        # away from sigma * sigma, but not sigma / 8's: the two Grams differed
+        sigma = 1.2960701480108006
+        X = np.random.default_rng(14).normal(size=(6, 3))
+        K = gaussian_kernel(sigma)(X, X[:4])
+        scaled = gaussian_kernel(sigma / 8)(X / 8, X[:4] / 8)
+        assert scaled.tobytes() == K.tobytes()
+
 
 class TestKpca:
     def test_feature_basis_orthonormal(self):
