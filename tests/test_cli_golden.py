@@ -1,4 +1,4 @@
-"""Recorded stdout of ``masc classify``, ``sweep`` and ``sessions``.
+"""Recorded stdout of ``masc classify``, ``sweep``, ``sessions`` and ``graph``.
 
 Every output must match its file under ``tests/data/golden`` byte for byte,
 with one exception: ``classify --classifier kld`` must match the decision,
@@ -62,6 +62,8 @@ def cases():
     out.append(("sessions-split-kld.json",
                 ["sessions", "--mode", "split", "--classifier", "kld", "--train-count", "6",
                  "--trials", "3", "{session1.csv}"]))
+    for fixture in ("raster", "manifold"):  # median sigma, default k
+        out.append((f"graph-{fixture}.txt", ["graph", "--input", f"{{{fixture}.csv}}"]))
     return out
 
 
