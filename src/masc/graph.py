@@ -51,7 +51,7 @@ class SimilarityGraph:
     k: int
 
 
-_BLOCK = 1 << 17  # matrix entries per row block of the gallery's k-NN selection
+_BLOCK = 1 << 17  # distances per row tile (1 MB) of the gallery's k-NN selection
 _WINDOWS = 8  # sigma windows a gallery keeps, the most recently used
 
 
@@ -60,28 +60,28 @@ class _SigmaWindow:
     """What one sample size's median sigma needs from the gallery alone.
 
     ``li`` and ``oi`` are the gallery and observation rows the seeded
-    subsample keeps (both None when it keeps every row), ``pairs`` the
-    positions of the kept observation pairs in the condensed m-point
-    distances, and ``values`` the squared gallery distances whose ranks can
-    hold the median: a query's own distances sit among them with the two
-    middle values at ranks ``lo`` and ``hi``.
+    subsample keeps, ``pairs`` the positions of the kept observation pairs
+    in the condensed m-point distances, and ``values`` the squared gallery
+    distances whose ranks can hold the median: a query's own distances sit
+    among them with the two middle values at ranks ``lo`` and ``hi``.
     """
 
-    li: np.ndarray | None
-    oi: np.ndarray | None
-    pairs: np.ndarray | None
+    li: np.ndarray
+    oi: np.ndarray
+    pairs: np.ndarray
     values: np.ndarray
     lo: int
     hi: int
 
 
 class GalleryIndex:
-    """Pairwise squared distances and k-NN lists of one labelled block.
+    """The rows, k-NN lists and sigma windows of one labelled block.
 
     Everything here depends on the labelled rows alone, so one index serves
-    every query against the same block. ``d2`` holds the l(l-1)/2 squared
-    distances in condensed order; the k-NN lists are filled on first use of
-    each k. ``X`` is used as given and must not change while the index lives.
+    every query against the same block. The k-NN lists are filled on first
+    use of each k and the sigma windows on first use of each sample size;
+    no l x l distance block is kept. ``X`` is used as given and must not
+    change while the index lives.
     """
 
     def __init__(self, X):
@@ -89,7 +89,6 @@ class GalleryIndex:
         if X.ndim != 2:
             raise ValueError("X must be a 2-D (n, d) array")
         self.X = X
-        self.d2 = pdist(X, "sqeuclidean")
         self._lists: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._windows: dict[tuple[int, int, int], _SigmaWindow] = {}
         self._lock = threading.Lock()
@@ -104,13 +103,15 @@ class GalleryIndex:
         with self._lock:
             lists = self._lists.get(k)
             if lists is None:
-                D = squareform(self.d2)
-                np.fill_diagonal(D, np.inf)
-                # row blocks of about 1 MB keep the selection's temporaries
-                # in cache instead of copying the whole l x l matrix
-                step = max(1, _BLOCK // self.l)
-                parts = [_nearest(D[a:a + step], min(k, self.l - 1))
-                         for a in range(0, self.l, step)]
+                # row tiles of about 1 MB: each pair is computed twice, but
+                # no l x l matrix is ever held, and cdist's values equal
+                # pdist's bit for bit
+                step, parts = max(1, _BLOCK // self.l), []
+                for a in range(0, self.l, step):
+                    D = cdist(self.X[a:a + step], self.X, "sqeuclidean")
+                    rows = np.arange(D.shape[0])
+                    D[rows, a + rows] = np.inf  # a row is not its own neighbour
+                    parts.append(_nearest(D, min(k, self.l - 1)))
                 lists = self._lists[k] = (np.concatenate([p[0] for p in parts]),
                                           np.concatenate([p[1] for p in parts]))
         return lists
@@ -175,19 +176,6 @@ def _half_median(d2, lo: int, hi: int) -> float:
     return median / 2.0
 
 
-def _among(d2, n: int, idx, out) -> None:
-    """Write the entries of the condensed n-point vector ``d2`` for every
-    pair of the sorted indices ``idx`` into ``out``, row by row."""
-    keep = np.zeros(n, dtype=bool)
-    keep[idx] = True
-    pos = 0
-    for i in idx[:-1]:
-        start = n * i - i * (i + 1) // 2  # position of pair (i, i + 1)
-        row = d2[start:start + n - i - 1][keep[i + 1:]]
-        out[pos:pos + row.size] = row
-        pos += row.size
-
-
 def _sigma_window(gallery: GalleryIndex, m: int, take: int, seed: int) -> _SigmaWindow:
     """The gallery's part of the median sigma of ``take`` of its l rows
     stacked on m observations.
@@ -201,21 +189,17 @@ def _sigma_window(gallery: GalleryIndex, m: int, take: int, seed: int) -> _Sigma
     and e = min(|A|, hi + 1). A's values of rank below s come before both
     middle values and those of rank e and above after them, so among the
     window A[s:e] and B the middle values have ranks lo - s and hi - s.
-    The window need not be sorted.
+    The window need not be sorted. A is ``pdist`` of the kept gallery rows,
+    O(take² d) once per window; when take = l + m the subsample keeps every
+    row and A is all l(l-1)/2 gallery pairs.
     """
     l = gallery.l
-    n = l + m
-    if take == n:
-        li = oi = pairs = None
-        A = gallery.d2.copy()
-    else:
-        rng = np.random.default_rng(seed)
-        idx = np.sort(rng.choice(n, size=take, replace=False))
-        li, oi = idx[idx < l], idx[idx >= l] - l
-        A = np.empty(li.size * (li.size - 1) // 2)
-        _among(gallery.d2, l, li, A)
-        i, j = (oi[t] for t in np.triu_indices(oi.size, 1))
-        pairs = m * i - i * (i + 1) // 2 + j - i - 1  # condensed position of (i, j)
+    rng = np.random.default_rng(seed)
+    idx = np.sort(rng.choice(l + m, size=take, replace=False))
+    li, oi = idx[idx < l], idx[idx >= l] - l
+    A = pdist(gallery.X[li], "sqeuclidean")
+    i, j = (oi[t] for t in np.triu_indices(oi.size, 1))
+    pairs = m * i - i * (i + 1) // 2 + j - i - 1  # condensed position of (i, j)
     N = take * (take - 1) // 2
     lo, hi = _middle(N)
     s = max(0, lo - (N - A.size))
@@ -232,14 +216,11 @@ def _median_sigma(gallery: GalleryIndex, C, Pc, config: GraphConfig) -> float:
 
     The gallery's share comes from its cached sigma window for this m (see
     :func:`_sigma_window`), so after the first query of each m the cost is
-    O(m·take) for gathering and partitioning the query's own values instead
-    of O(take²).
+    O(m·take) for gathering and partitioning the query's own values and the
+    window instead of O(take²).
     """
     w = gallery.window(C.shape[0], config)
-    if w.li is None:
-        d2 = np.concatenate([w.values, C.ravel(), Pc])
-    else:
-        d2 = np.concatenate([w.values, C[np.ix_(w.oi, w.li)].ravel(), Pc[w.pairs]])
+    d2 = np.concatenate([w.values, C[np.ix_(w.oi, w.li)].ravel(), Pc[w.pairs]])
     return _half_median(d2, w.lo, w.hi)
 
 
@@ -332,24 +313,32 @@ def build_knn_graph(X, config: GraphConfig = GraphConfig(),
     first[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     keys, d2 = keys[first], d2[first]
-    rows, cols = keys // n, keys % n
+    # the keys are sorted row-major, so they are H's CSR layout as they stand
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
     vals = np.exp(-d2 / (2.0 * sigma * sigma))
-    H = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    H = sparse.csr_matrix((vals, keys % n, indptr), shape=(n, n))
     degrees = np.asarray(H.sum(axis=1)).ravel()
     S = normalize_similarity(H, degrees)
     return SimilarityGraph(n=n, H=H, degrees=degrees, S=S, sigma=float(sigma), k=k)
 
 
 def normalize_similarity(H, degrees) -> sparse.csr_matrix:
-    """S_ij = H_ij / sqrt(D_ii D_jj), mirrored so S is exactly symmetric."""
+    """S_ij = H_ij / sqrt(D_ii D_jj) of the symmetric matrix ``H``.
+
+    Each stored entry is scaled as (H_ij * r_a) * r_b with r = 1/sqrt(D),
+    a = min(i, j) and b = max(i, j), so S_ij and S_ji get the same bits.
+    Entries that are or underflow to zero are dropped from S; ``H`` itself
+    is left as it is.
+    """
     degrees = np.asarray(degrees, dtype=float).ravel()
     bad = np.flatnonzero(~(degrees > 0))
     if bad.size:
         raise ValueError(f"node {bad[0] + 1} has zero degree")
-    dinv = sparse.diags(1.0 / np.sqrt(degrees))
-    raw = (dinv @ sparse.csr_matrix(H) @ dinv).tocsr()
-    upper = sparse.triu(raw, k=1)
-    S = (upper + upper.T + sparse.diags(raw.diagonal())).tocsr()
+    r = 1.0 / np.sqrt(degrees)
+    S = sparse.csr_matrix(H, dtype=float, copy=True)
+    rows = np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
+    S.data = S.data * r[np.minimum(rows, S.indices)] * r[np.maximum(rows, S.indices)]
     S.eliminate_zeros()
     return S
 

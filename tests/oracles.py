@@ -148,12 +148,13 @@ def reference_sigma(X, config):
 def reference_knn_graph(X, config):
     """Dense O(n^2) k-NN graph over all of X: full squared-distance matrix,
     per-row k-th smallest by partition, boundary ties trimmed to the smaller
-    indices. Degree normalization reuses the library's
-    ``normalize_similarity``, which this reference does not check."""
+    indices. H is assembled from COO triplets and S by sparse products with
+    the diagonal matrix D^-1/2, its strict upper triangle mirrored below the
+    diagonal so S is exactly symmetric."""
     from scipy import sparse
     from scipy.spatial.distance import pdist, squareform
 
-    from masc.graph import SimilarityGraph, normalize_similarity
+    from masc.graph import SimilarityGraph
 
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
@@ -174,7 +175,13 @@ def reference_knn_graph(X, config):
     vals = np.exp(-d2[rows, cols] / (2.0 * sigma * sigma))
     H = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
     degrees = np.asarray(H.sum(axis=1)).ravel()
-    S = normalize_similarity(H, degrees)
+    if not (degrees > 0).all():
+        raise ValueError(f"node {np.argmin(degrees > 0) + 1} has zero degree")
+    dinv = sparse.diags(1.0 / np.sqrt(degrees))
+    raw = (dinv @ H @ dinv).tocsr()
+    upper = sparse.triu(raw, k=1)
+    S = (upper + upper.T + sparse.diags(raw.diagonal())).tocsr()
+    S.eliminate_zeros()
     return SimilarityGraph(n=n, H=H, degrees=degrees, S=S, sigma=float(sigma), k=k)
 
 

@@ -8,12 +8,17 @@ also with the dense Gaussian fit and KL in ``oracles``.
 import re
 import sys
 import threading
+import tracemalloc
+from contextlib import redirect_stdout
+from io import StringIO
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist, squareform
 
+from masc.cli import main
 from masc.evaluate import CLASSIFIERS, Decision, make_classifier
 from masc.fixtures import (
     CurvedManifoldConfig,
@@ -21,7 +26,14 @@ from masc.fixtures import (
     RotatedRasterConfig,
     RotatedRasterFixture,
 )
-from masc.graph import _WINDOWS, GalleryIndex, GraphConfig, build_knn_graph, estimate_sigma
+from masc.graph import (
+    _WINDOWS,
+    GalleryIndex,
+    GraphConfig,
+    build_knn_graph,
+    estimate_sigma,
+    normalize_similarity,
+)
 from masc.labelprop import LPConfig, row_labels
 from masc.smoothing import masc_classify, one_hot_labels
 from masc.statdist import fit_gaussian, kl_gaussian
@@ -89,6 +101,47 @@ def test_sigma_matches_reference_bitwise(X, l, config):
         return
     assert estimate_sigma(X, config) == want
     assert GalleryIndex(X[:l]).sigma(X[l:], config) == want
+
+
+def test_underflowed_weights_stay_in_H_and_leave_S(tmp_path):
+    # the pairs 50 apart weigh exp(-1250) = 0.0 at sigma 1, but are still edges
+    X = np.array([[0.0], [0.1], [50.0], [50.1]])
+    config = GraphConfig(k=2, sigma=1.0)
+    want = reference_knn_graph(X, config)
+    for g in (build_knn_graph(X, config), build_knn_graph(X, config, GalleryIndex(X[:3]))):
+        assert_same_graph(g, want)
+        assert g.H.indptr.tolist() == [0, 2, 5, 8, 10]
+        assert (g.H.data == 0.0).sum() == 6
+        assert g.S.nnz == 4 and (g.S.data > 0.0).all()
+        H = g.H
+        before = [H.data.tobytes(), H.indices.tobytes(), H.indptr.tobytes()]
+        S = normalize_similarity(H, g.degrees)
+        assert [H.data.tobytes(), H.indices.tobytes(), H.indptr.tobytes()] == before
+        assert S.data.tobytes() == g.S.data.tobytes()
+    path = tmp_path / "far.csv"
+    path.write_text("#d=1,c=2\n1,0\n1,0.1\n2,50\n0,50.1\n", encoding="utf-8")
+    stdout = StringIO()
+    with redirect_stdout(stdout):
+        assert main(["graph", "--input", str(path), "--k", "2", "--sigma", "1.0"]) == 0
+    assert "1 3 0.0" in stdout.getvalue().splitlines()
+
+
+def test_neighbour_lists_hold_no_gallery_sized_block():
+    # a 3000 x 3000 float block alone takes 72 MB; the lists come from row
+    # tiles of about 1 MB
+    X = np.random.default_rng(12).normal(size=(3000, 4))
+    tracemalloc.start()
+    try:
+        heads, head_d2 = GalleryIndex(X).neighbours(5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
+    D = squareform(pdist(X, "sqeuclidean"))
+    np.fill_diagonal(D, np.inf)
+    want = np.argsort(D, axis=1, kind="stable")[:, :5]  # (distance, index) order
+    assert heads.tobytes() == want.astype(heads.dtype).tobytes()
+    assert head_d2.tobytes() == np.take_along_axis(D, want, axis=1).tobytes()
 
 
 # -- sigma windows ------------------------------------------------------------
