@@ -12,6 +12,7 @@ To record the files again after a deliberate change of output, run
 and say in CHANGES.md why the bytes moved.
 """
 
+import hashlib
 import json
 import math
 import sys
@@ -36,6 +37,21 @@ INPUTS = (
     ("session2.csv", ["--fixture", "curved-manifolds", "--gallery", "12", "--true-class", "2"]),
     ("session3.csv", ["--fixture", "curved-manifolds", "--gallery", "12", "--true-class", "3"]),
 )
+
+# sha256 of each ``masc synth ... --seed 0`` output, for the inputs above
+# and one raster gallery, recorded before the fixtures' fixed problem
+# parameters became module constants
+SYNTH_ONLY = (
+    ("raster-gallery.csv", ["--fixture", "rotated-rasters", "--gallery", "3"]),
+)
+SYNTH_SHA256 = {
+    "raster.csv": "6c3d16d665c0d8e8721226045c173a0c297ef13a2fcaa09773d62a9490d75ed6",
+    "manifold.csv": "3bff55e8478aaec44939801b840b20a8d995f034a194a67a85d3de6877efd349",
+    "session1.csv": "3ce7228db82dc02af74694aaea984e4694bcbd888d7c70e14a774a7b4016d5df",
+    "session2.csv": "d1978a68d8c928fc21521e2285c8167ba3ae1fee3c5edd00419aa46e8cdbc3f3",
+    "session3.csv": "c9e96de2ec7602eb3c8dce2eadf8149a13efaf8725892b248d6d8fc03d2578bd",
+    "raster-gallery.csv": "52d110b06a21d4a7b254bfe0ee36bbf1d091077dbac26cd15a66c1c7c6257c4b",
+}
 
 
 def cases():
@@ -106,6 +122,14 @@ def test_stdout_matches_the_recorded_file(golden, argv, inputs):
     assert len(got_scores) == len(want_scores)
     for a, b in zip(got_scores, want_scores):
         assert math.isclose(a, b, rel_tol=KLD_SCORE_RTOL, abs_tol=0.0), (a, b)
+
+
+@pytest.mark.parametrize("name,synth", INPUTS + SYNTH_ONLY,
+                         ids=[n for n, _ in INPUTS + SYNTH_ONLY])
+def test_synth_output_matches_the_recorded_digest(name, synth, tmp_path):
+    path = tmp_path / name
+    run_cli(["synth", *synth, "--seed", "0", "--out", str(path)])
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SYNTH_SHA256[name]
 
 
 if __name__ == "__main__":
