@@ -382,16 +382,10 @@ def main(argv=None) -> int:
     try:
         cfg = build_config(args)
         return args.func(cfg, args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
+    except (DataError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -410,7 +410,7 @@ def session_pair_errors(sessions, classifier, r: int = 1) -> dict[tuple[int, int
     classes = len(sessions[0])
     for s, gallery in enumerate(sessions, start=1):
         if len(gallery) != classes:
-            raise ValueError(f"session {s} has {len(gallery)} classes, expected {classes}")
+            raise DataError(f"session {s} has {len(gallery)} classes, expected {classes}")
     errors = {}
     for i, train_gallery in enumerate(sessions, start=1):
         train_sets = [resample_set(np.asarray(xs, dtype=float), r) for xs in train_gallery]

@@ -16,30 +16,27 @@ from .data import Dataset, augment_virtual_samples, rotation_set, vectorize
 FIXTURES = ("rotated-rasters", "curved-manifolds")
 
 
+# The digit experiment's fixed problem: 16 x 16 rasters, two labelled noisy
+# variants per class, each augmented by one virtual sample per angle, and
+# observation sets rotated by distinct uniform angles in the theta range.
+_SHAPE = (16, 16)
+_LABELED_PER_CLASS = 2
+_VIRTUAL_ANGLES = (-40.0, 40.0)
+_THETA_RANGE = (-40.0, 40.0)
+_VARIANT_NOISE = 0.25
+_SMOOTHNESS = 2.0
+
+
 @dataclass(frozen=True)
 class RotatedRasterConfig:
-    """Classes of smooth random rasters observed under random rotations.
-
-    Each class has ``labeled_per_class`` noisy variants of a base pattern as
-    labelled samples, each augmented by one virtual sample per entry of
-    ``virtual_angles``. Observation sets rotate a fresh variant by distinct
-    uniform angles in ``theta_range``.
-    """
+    """Classes of smooth random rasters observed under random rotations."""
 
     classes: int = 10
-    shape: tuple[int, int] = (16, 16)
-    labeled_per_class: int = 2
-    virtual_angles: tuple[float, ...] = (-40.0, 40.0)
-    theta_range: tuple[float, float] = (-40.0, 40.0)
-    variant_noise: float = 0.25
-    smoothness: float = 2.0
     seed: int = 0
 
     def __post_init__(self):
         if self.classes < 2:
             raise ValueError("need at least 2 classes")
-        if self.labeled_per_class < 1:
-            raise ValueError("labeled_per_class >= 1 required")
 
 
 class RotatedRasterFixture:
@@ -49,19 +46,19 @@ class RotatedRasterFixture:
         self.bases = self._base_patterns(rng)
         labeled = []
         for cls, base in enumerate(self.bases, start=1):
-            for _ in range(config.labeled_per_class):
+            for _ in range(_LABELED_PER_CLASS):
                 labeled.append((self._variant(base, rng), cls))
         self.labeled = np.stack([vectorize(p) for p, _ in labeled])
         self.labeled_classes = np.asarray([cls for _, cls in labeled], dtype=int)
         self.virtual, self.virtual_classes = augment_virtual_samples(
-            labeled, config.virtual_angles
+            labeled, _VIRTUAL_ANGLES
         )
         X = np.vstack([self.labeled, self.virtual])
         ids = np.concatenate([self.labeled_classes, self.virtual_classes])
         self._train_sets = [X[ids == p] for p in range(1, config.classes + 1)]
 
     def _smooth(self, raw: np.ndarray) -> np.ndarray:
-        sm = gaussian_filter(raw, sigma=self.config.smoothness, mode="constant")
+        sm = gaussian_filter(raw, sigma=_SMOOTHNESS, mode="constant")
         lo, hi = sm.min(), sm.max()
         return (sm - lo) / (hi - lo)
 
@@ -70,24 +67,23 @@ class RotatedRasterFixture:
 
         Removing the shared smooth-noise components keeps the class patterns
         distinguishable under rotation, which is what makes the fixture's
-        separability controllable through ``variant_noise`` alone.
+        separability controllable through the variant noise alone.
         """
-        shape = self.config.shape
         bases, directions = [], []
         for _ in range(self.config.classes):
-            v = vectorize(self._smooth(rng.random(shape)))
+            v = vectorize(self._smooth(rng.random(_SHAPE)))
             v = v - v.mean()
             for u in directions:
                 v = v - (v @ u) * u
             v = v / np.linalg.norm(v)
             directions.append(v)
-            p = v.reshape(shape, order="F")
+            p = v.reshape(_SHAPE, order="F")
             bases.append((p - p.min()) / (p.max() - p.min()))
         return bases
 
     def _variant(self, base: np.ndarray, rng) -> np.ndarray:
-        noise = self._smooth(rng.random(self.config.shape)) - 0.5
-        return base + self.config.variant_noise * noise
+        noise = self._smooth(rng.random(_SHAPE)) - 0.5
+        return base + _VARIANT_NOISE * noise
 
     @property
     def classes(self) -> int:
@@ -99,7 +95,7 @@ class RotatedRasterFixture:
     def make_instance(self, class_id: int, m: int, rng):
         """(train_sets, observations) with observations drawn from ``class_id``."""
         test_pattern = self._variant(self.bases[class_id - 1], rng)
-        obs, _ = rotation_set(test_pattern, m, self.config.theta_range, rng)
+        obs, _ = rotation_set(test_pattern, m, _THETA_RANGE, rng)
         return self._train_sets, obs
 
     def make_dataset(self, class_id: int, m: int, rng) -> Dataset:
@@ -118,16 +114,30 @@ class RotatedRasterFixture:
         sets = []
         for base in self.bases:
             variant = self._variant(base, rng)
-            samples, _ = rotation_set(variant, per_class, self.config.theta_range, rng)
+            samples, _ = rotation_set(variant, per_class, _THETA_RANGE, rng)
             sets.append(samples)
         return sets
+
+
+# The view-set experiment's fixed problem: three phase-shifted helixes of
+# equal frequency, 48 training samples each, observed on short arcs.
+_MANIFOLD_CLASSES = 3
+_AMBIENT_DIM = 20
+_TRAIN_PER_CLASS = 48
+_LENGTH = 6.0
+_AMPLITUDE = 1.2
+_FREQUENCY = 2.8
+_PHASES = (0.0, 2.0944, 4.1888)
+_TILT_DEG = (0.0, 50.0, 100.0)
+_ARC_WIDTH = 0.08
+_NOISE = 0.08
 
 
 @dataclass(frozen=True)
 class CurvedManifoldConfig:
     """Classes of noisy 1-D curves embedded in a higher-dimensional space.
 
-    Helixes inside a 4-D latent space, mapped into ``ambient_dim``
+    Helixes inside a 4-D latent space, mapped into 20 ambient
     dimensions by one random orthonormal matrix. Each advances along one
     axis while circling a ring plane tilted per class; phase offsets keep
     the class curves geometrically apart even though their means coincide
@@ -136,28 +146,7 @@ class CurvedManifoldConfig:
     parameter window, i.e. a local patch of the curve.
     """
 
-    classes: int = 3
-    ambient_dim: int = 20
-    train_per_class: int = 48
-    length: float = 6.0
-    amplitude: float = 1.2
-    frequencies: tuple[float, ...] = (2.8, 2.8, 2.8)
-    phases: tuple[float, ...] = (0.0, 2.0944, 4.1888)
-    tilt_deg: tuple[float, ...] = (0.0, 50.0, 100.0)
-    arc_width: float = 0.08
-    noise: float = 0.08
     seed: int = 0
-
-    def __post_init__(self):
-        if self.classes < 2:
-            raise ValueError("need at least 2 classes")
-        for name in ("frequencies", "phases", "tilt_deg"):
-            if len(getattr(self, name)) != self.classes:
-                raise ValueError(f"{name} must have one entry per class")
-        if self.ambient_dim < 3:
-            raise ValueError("ambient_dim >= 3 required")
-        if not 0 < self.arc_width <= 1:
-            raise ValueError("arc_width must be in (0, 1]")
 
 
 class CurvedManifoldFixture:
@@ -166,28 +155,27 @@ class CurvedManifoldFixture:
     def __init__(self, config: CurvedManifoldConfig = CurvedManifoldConfig()):
         self.config = config
         rng = np.random.default_rng(config.seed)
-        raw = rng.normal(size=(config.ambient_dim, self._LATENT_DIM))
+        raw = rng.normal(size=(_AMBIENT_DIM, self._LATENT_DIM))
         self._embed, _ = np.linalg.qr(raw)
 
     @property
     def classes(self) -> int:
-        return self.config.classes
+        return _MANIFOLD_CLASSES
 
     def curve(self, class_id: int, ts) -> np.ndarray:
         """Noise-free curve points for parameters ts in [0, 1]."""
-        cfg = self.config
         i = class_id - 1
         ts = np.asarray(ts, dtype=float)
-        phase = 2.0 * np.pi * cfg.frequencies[i] * ts + cfg.phases[i]
-        tilt = np.radians(cfg.tilt_deg[i])
+        phase = 2.0 * np.pi * _FREQUENCY * ts + _PHASES[i]
+        tilt = np.radians(_TILT_DEG[i])
         # phase-shifted helixes on per-class tilted ring planes: class means
         # coincide and covariances differ only through the tilt direction,
         # while the curves themselves never come closer than the x-advance
         # corresponding to the phase offset
-        r = cfg.amplitude
+        r = _AMPLITUDE
         latent = np.stack(
             [
-                cfg.length * ts,
+                _LENGTH * ts,
                 r * np.cos(phase),
                 r * np.sin(phase) * np.cos(tilt),
                 r * np.sin(phase) * np.sin(tilt),
@@ -198,23 +186,17 @@ class CurvedManifoldFixture:
 
     def sample(self, class_id: int, ts, rng) -> np.ndarray:
         pts = self.curve(class_id, ts)
-        return pts + self.config.noise * rng.normal(size=pts.shape)
+        return pts + _NOISE * rng.normal(size=pts.shape)
 
     def train_sets(self, rng) -> list[np.ndarray]:
         """One full-coverage training set per class (fresh draw per call)."""
-        cfg = self.config
-        sets = []
-        for cls in range(1, cfg.classes + 1):
-            ts = np.sort(rng.uniform(0.0, 1.0, cfg.train_per_class))
-            sets.append(self.sample(cls, ts, rng))
-        return sets
+        return self.gallery(_TRAIN_PER_CLASS, rng)
 
     def make_instance(self, class_id: int, m: int, rng):
         """(train_sets, observations); observations cover one short arc."""
-        cfg = self.config
         train = self.train_sets(rng)
-        t0 = float(rng.uniform(0.0, 1.0 - cfg.arc_width))
-        ts = rng.uniform(t0, t0 + cfg.arc_width, m)
+        t0 = float(rng.uniform(0.0, 1.0 - _ARC_WIDTH))
+        ts = rng.uniform(t0, t0 + _ARC_WIDTH, m)
         obs = self.sample(class_id, ts, rng)
         return train, obs
 
@@ -228,13 +210,12 @@ class CurvedManifoldFixture:
             labeled=labeled,
             labeled_classes=classes,
             observations=obs,
-            c=self.config.classes,
+            c=_MANIFOLD_CLASSES,
         )
 
     def gallery(self, per_class: int, rng) -> list[np.ndarray]:
-        cfg = self.config
         sets = []
-        for cls in range(1, cfg.classes + 1):
+        for cls in range(1, _MANIFOLD_CLASSES + 1):
             ts = np.sort(rng.uniform(0.0, 1.0, per_class))
             sets.append(self.sample(cls, ts, rng))
         return sets
@@ -248,8 +229,7 @@ def make_fixture(name: str, classes: int | None = None, seed: int = 0):
             kwargs["classes"] = classes
         return RotatedRasterFixture(RotatedRasterConfig(**kwargs))
     if name == "curved-manifolds":
-        kwargs = {"seed": seed}
-        if classes is not None and classes != 3:
+        if classes is not None and classes != _MANIFOLD_CLASSES:
             raise ValueError("curved-manifolds is a 3-class fixture")
-        return CurvedManifoldFixture(CurvedManifoldConfig(**kwargs))
+        return CurvedManifoldFixture(CurvedManifoldConfig(seed=seed))
     raise ValueError(f"unknown fixture {name!r} (choose from {FIXTURES})")

@@ -343,10 +343,9 @@ def normalize_similarity(H, degrees) -> sparse.csr_matrix:
     return S
 
 
-def dump_edges(graph) -> str:
+def dump_edges(graph: SimilarityGraph) -> str:
     """Edge list ``i j H_ij`` (1-based, i < j, lexicographic) for fixture diffing."""
-    H = graph.H if isinstance(graph, SimilarityGraph) else sparse.csr_matrix(graph)
-    coo = sparse.triu(H, k=1).tocoo()
+    coo = sparse.triu(graph.H, k=1).tocoo()
     order = np.lexsort((coo.col, coo.row))
     lines = [
         f"{coo.row[t] + 1} {coo.col[t] + 1} {float(coo.data[t])!r}" for t in order

@@ -248,6 +248,15 @@ class TestSessions:
         code, _, _ = run(capsys, "sessions", files[0])
         assert code == 2
 
+    def test_class_count_mismatch_is_a_data_error(self, capsys, tmp_path):
+        three = self.make_session_files(tmp_path, seeds=(8,))[0]
+        four = tmp_path / "four.csv"
+        save_gallery([8.0 * np.eye(3)[[c % 3] * 10] + 0.1 * c for c in range(4)], four)
+        code, out, err = run(capsys, "sessions", three, str(four))
+        assert code == 3
+        assert out == ""
+        assert "session 2 has 4 classes, expected 3" in err
+
 
 class TestSynthAndGraph:
     def test_synth_then_classify(self, capsys, tmp_path):
@@ -287,7 +296,7 @@ class TestSynthAndGraph:
 
 def test_defaults_pinned():
     from masc.cli import ExperimentConfig
-    from masc.fixtures import RotatedRasterConfig
+    from masc.fixtures import _THETA_RANGE
 
     cfg = ExperimentConfig()
     assert cfg.k == 5
@@ -296,7 +305,7 @@ def test_defaults_pinned():
     assert cfg.trials == 100
     assert cfg.mu == 1.0
     assert cfg.sigma is None and cfg.sigma_kernel is None  # median heuristic
-    assert RotatedRasterConfig().theta_range == (-40.0, 40.0)
+    assert _THETA_RANGE == (-40.0, 40.0)
 
 
 def test_every_classifier_keyword_is_reachable(monkeypatch):
@@ -312,6 +321,28 @@ def test_every_classifier_keyword_is_reachable(monkeypatch):
                         lambda name, **kwargs: seen.update(kwargs))
     masc.cli._classifier_from(ExperimentConfig())
     assert set(seen) == set(inspect.signature(make_classifier).parameters) - {"name"}
+
+
+@pytest.mark.parametrize("fixture,config", [("rotated-rasters", "RotatedRasterConfig"),
+                                            ("curved-manifolds", "CurvedManifoldConfig")])
+def test_every_fixture_field_is_reachable(monkeypatch, capsys, tmp_path, fixture, config):
+    # a fixture config field no CLI argument sets is an option no caller has
+    import dataclasses
+
+    import masc.fixtures
+
+    real = getattr(masc.fixtures, config)
+    seen = {}
+
+    def spy(**kwargs):
+        seen.update(kwargs)
+        return real(**kwargs)
+
+    monkeypatch.setattr(masc.fixtures, config, spy)
+    code, _, _ = run(capsys, "synth", "--fixture", fixture, "--classes", "3", "--seed", "1",
+                     "--gallery", "2", "--out", str(tmp_path / "gallery.csv"))
+    assert code == 0
+    assert set(seen) == {f.name for f in dataclasses.fields(real)}
 
 
 def test_help_exits_zero(capsys):

@@ -86,10 +86,6 @@ class TestCurvedManifoldFixture:
         full_span = np.linalg.norm(full.max(axis=0) - full.min(axis=0))
         assert span < 0.55 * full_span
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            CurvedManifoldConfig(frequencies=(1.0,))
-
 
 def test_make_fixture_dispatch():
     assert make_fixture("rotated-rasters", classes=4, seed=1).classes == 4
