@@ -28,19 +28,23 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
 CLASSIFIERS = ("masc", "lp", "msm", "kmsm", "kld")
 KLD_SCORE_RTOL = 1e-10
 
-# (file, synth arguments); the three galleries are sessions of the same
-# curved-manifold classes drawn with different generators.
+# (file, synth arguments); the session files are galleries of the same
+# classes drawn with different generators. The two raster sessions stack
+# 300 labelled rows and 30 observations, a graph large enough for the
+# sparse label-propagation solve.
 INPUTS = (
     ("raster.csv", ["--fixture", "rotated-rasters", "--m", "30", "--true-class", "3"]),
     ("manifold.csv", ["--fixture", "curved-manifolds", "--m", "20", "--true-class", "2"]),
     ("session1.csv", ["--fixture", "curved-manifolds", "--gallery", "12", "--true-class", "1"]),
     ("session2.csv", ["--fixture", "curved-manifolds", "--gallery", "12", "--true-class", "2"]),
     ("session3.csv", ["--fixture", "curved-manifolds", "--gallery", "12", "--true-class", "3"]),
+    ("raster-session1.csv", ["--fixture", "rotated-rasters", "--gallery", "30", "--true-class", "1"]),
+    ("raster-session2.csv", ["--fixture", "rotated-rasters", "--gallery", "30", "--true-class", "2"]),
 )
 
 # sha256 of each ``masc synth ... --seed 0`` output, for the inputs above
-# and one raster gallery, recorded before the fixtures' fixed problem
-# parameters became module constants
+# and one raster gallery; all but the raster sessions were recorded before
+# the fixtures' fixed problem parameters became module constants
 SYNTH_ONLY = (
     ("raster-gallery.csv", ["--fixture", "rotated-rasters", "--gallery", "3"]),
 )
@@ -50,6 +54,8 @@ SYNTH_SHA256 = {
     "session1.csv": "3ce7228db82dc02af74694aaea984e4694bcbd888d7c70e14a774a7b4016d5df",
     "session2.csv": "d1978a68d8c928fc21521e2285c8167ba3ae1fee3c5edd00419aa46e8cdbc3f3",
     "session3.csv": "c9e96de2ec7602eb3c8dce2eadf8149a13efaf8725892b248d6d8fc03d2578bd",
+    "raster-session1.csv": "1185c3f0c6f292eb6beb54e15c7185386751a17a447204940a9bbc89f9bd09a3",
+    "raster-session2.csv": "9e648e0cc8ea9890c30dfe2445904ff3304afb7a9f3dbdfc75ca87b2a81d7d6b",
     "raster-gallery.csv": "52d110b06a21d4a7b254bfe0ee36bbf1d091077dbac26cd15a66c1c7c6257c4b",
 }
 
@@ -75,6 +81,9 @@ def cases():
     for name in CLASSIFIERS:
         out.append((f"sessions-pairs-{name}.json",
                     ["sessions", "--classifier", name, "--r", "2", *sessions]))
+    out.append(("sessions-pairs-raster-lp.json",
+                ["sessions", "--classifier", "lp", "{raster-session1.csv}",
+                 "{raster-session2.csv}"]))
     out.append(("sessions-split-kld.json",
                 ["sessions", "--mode", "split", "--classifier", "kld", "--train-count", "6",
                  "--trials", "3", "{session1.csv}"]))
