@@ -42,7 +42,7 @@ from .graph import (
     estimate_sigma,
     normalize_similarity,
 )
-from .labelprop import LPConfig, lp_iterate, lp_solve, observation_votes
+from .labelprop import LPConfig, lp_iterate, lp_solve, lp_votes, observation_votes
 from .smoothing import (
     ClassScores,
     class_conditional_matrix,

@@ -12,7 +12,7 @@ import numpy as np
 
 from .data import DataError, resample_set
 from .graph import GalleryIndex, GraphConfig, build_knn_graph
-from .labelprop import lp_solve, observation_votes
+from .labelprop import lp_votes
 from .smoothing import masc_classify, one_hot_labels
 from .statdist import GaussianModel, fit_gaussian, symmetric_kl
 from .statdist import kl_gaussian  # noqa: F401  perfbench's tracer tests patch it here
@@ -244,11 +244,9 @@ def make_classifier(name: str, *, k: int = 5, sigma: float | None = None,
     elif name == "lp":
         def classify(train_sets, observations):
             gallery, obs = _query(train_sets, observations)
-            Y_l = gallery.labels()
-            m, c = obs.shape[0], Y_l.shape[1]
+            m = obs.shape[0]
             g = gallery.graph(obs, graph_config)
-            Y = np.vstack([Y_l, np.zeros((m, c))])
-            counts = observation_votes(lp_solve(g.S, Y, mu), m)
+            counts = lp_votes(g.S, gallery.labels(), m, mu)
             decision, tie = _decide(counts, np.argmax)
             return Decision(decision, tuple(float(v) / m for v in counts), tie)
 

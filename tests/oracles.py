@@ -206,6 +206,18 @@ def random_graph_instance(rng, n_max=30, c_max=5, d=4):
     return g.S, one_hot_labels(labels, c), l, m, c
 
 
+def reference_lp_votes(S, Y_l, m, mu=1.0):
+    """Votes of the m observation rows under the dense closed form: the
+    labels stacked over m zero rows, solved by ``lp_solve`` (one LU of the
+    n x n system) and counted by ``observation_votes``. Every faster lp
+    path must return exactly these counts."""
+    from masc.labelprop import lp_solve, observation_votes
+
+    Y_l = np.asarray(Y_l, dtype=float)
+    Y = np.vstack([Y_l, np.zeros((m, Y_l.shape[1]))])
+    return observation_votes(lp_solve(S, Y, mu), m)
+
+
 def reference_fit_gaussian(X, energy_cutoff=0.96):
     """The dense fit: eigendecompose the d x d sample covariance, keep the
     leading eigenvalues that reach ``energy_cutoff`` of the trace, replace

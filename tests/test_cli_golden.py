@@ -38,8 +38,10 @@ INPUTS = (
     ("session1.csv", ["--fixture", "curved-manifolds", "--gallery", "12", "--true-class", "1"]),
     ("session2.csv", ["--fixture", "curved-manifolds", "--gallery", "12", "--true-class", "2"]),
     ("session3.csv", ["--fixture", "curved-manifolds", "--gallery", "12", "--true-class", "3"]),
-    ("raster-session1.csv", ["--fixture", "rotated-rasters", "--gallery", "30", "--true-class", "1"]),
-    ("raster-session2.csv", ["--fixture", "rotated-rasters", "--gallery", "30", "--true-class", "2"]),
+    ("raster-session1.csv",
+     ["--fixture", "rotated-rasters", "--gallery", "30", "--true-class", "1"]),
+    ("raster-session2.csv",
+     ["--fixture", "rotated-rasters", "--gallery", "30", "--true-class", "2"]),
 )
 
 # sha256 of each ``masc synth ... --seed 0`` output, for the inputs above

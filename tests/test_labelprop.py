@@ -1,18 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
-from masc.graph import GraphConfig, build_knn_graph
+from masc import evaluate, labelprop
+from masc.fixtures import RotatedRasterConfig, RotatedRasterFixture
+from masc.graph import GraphConfig, build_knn_graph, normalize_similarity
 from masc.evaluate import make_classifier
 from masc.labelprop import (
     LPConfig,
     lp_iterate,
     lp_solve,
+    lp_votes,
     observation_votes,
     propagation_labels,
     row_labels,
 )
 from masc.smoothing import one_hot_labels
-from oracles import lp_cost
+from oracles import lp_cost, random_graph_instance, reference_lp_votes
 
 
 def small_instance(seed, n=20, c=3, l=12, k=3):
@@ -163,3 +169,128 @@ class TestMajorityVote:
         M[:3, 0] = 1.0  # labelled rows, must be ignored
         M[3:, 1] = 1.0
         assert observation_votes(M, 2).tolist() == [0, 2]
+
+
+def similarity(n, edges):
+    """Normalised S of the symmetric graph with weighted edges (i, j, w)."""
+    i, j, w = zip(*edges)
+    H = sparse.csr_matrix((w, (i, j)), shape=(n, n))
+    H = (H + H.T).tocsr()
+    return normalize_similarity(H, np.asarray(H.sum(axis=1)).ravel())
+
+
+class TestCertifiedVotes:
+    """The CG helper called directly, so small purpose-built graphs reach
+    it; None means the dense solve decides."""
+
+    @pytest.mark.parametrize("mu", [0.1, 1.0, 10.0])
+    def test_component_without_labels_votes_for_class_one(self, mu):
+        # labelled 0, 1 (class 1) and 2, 3 (class 2); observation 4 hangs
+        # off class 2, observations 5 and 6 form a component of their own
+        S = similarity(7, [(0, 1, 1.0), (1, 2, 0.2), (2, 3, 1.0), (3, 4, 1.0), (5, 6, 1.0)])
+        Y_l = one_hot_labels([1, 1, 2, 2], 2)
+        M = lp_solve(S, np.vstack([Y_l, np.zeros((3, 2))]), mu)
+        assert not M[5:].any()  # the dense solve leaves them exactly zero
+        votes = labelprop._cg_votes(S, Y_l, 3, mu)
+        assert votes.tolist() == reference_lp_votes(S, Y_l, 3, mu).tolist() == [2, 1]
+
+    def test_exact_mirror_tie_falls_back(self):
+        S = similarity(3, [(0, 2, 1.0), (1, 2, 1.0)])
+        Y_l = one_hot_labels([1, 2], 2)
+        assert labelprop._cg_votes(S, Y_l, 1) is None
+        assert reference_lp_votes(S, Y_l, 1).tolist() == [1, 0]
+
+    def test_near_tie_below_the_bound_falls_back(self):
+        # class 2's edge is heavier by 1e-13: the dense rows differ by
+        # about 2e-14, far below what the error bound can separate
+        S = similarity(3, [(0, 2, 1.0), (1, 2, 1.0 + 1e-13)])
+        Y_l = one_hot_labels([1, 2], 2)
+        M = lp_solve(S, np.vstack([Y_l, np.zeros((1, 2))]))
+        assert 0 < M[2, 1] - M[2, 0] < 1e-13
+        assert labelprop._cg_votes(S, Y_l, 1) is None
+        assert reference_lp_votes(S, Y_l, 1).tolist() == [0, 1]
+
+    def test_clear_margin_is_certified(self):
+        S = similarity(3, [(0, 2, 1.0), (1, 2, 1.001)])
+        Y_l = one_hot_labels([1, 2], 2)
+        assert labelprop._cg_votes(S, Y_l, 1).tolist() == [0, 1]
+
+    @pytest.mark.parametrize("mu", [0.1, 1.0, 10.0])
+    def test_path_beyond_the_iteration_cap_falls_back(self, mu):
+        # a chain of observations reaching further than any CG run: its far
+        # rows are exactly zero in CG yet favour class 2 in the dense solve
+        length = labelprop._CG_MAX_ITER + 20
+        edges = [(0, 2, 1.0), (1, 2, 3.0)]
+        edges += [(t, t + 1, 1.0) for t in range(2, 1 + length)]
+        S = similarity(2 + length, edges)
+        Y_l = one_hot_labels([1, 2], 2)
+        assert labelprop._cg_votes(S, Y_l, length, mu) is None
+        assert reference_lp_votes(S, Y_l, length, mu).tolist() == [0, length]
+
+    @pytest.mark.parametrize("mu", [0.1, 1.0, 10.0])
+    def test_knn_graph_is_certified_at_each_mu(self, mu):
+        # three well-separated clusters, the observations drawn near cluster 2
+        rng = np.random.default_rng(20)
+        centres = 6.0 * np.eye(3, 5)
+        labelled = np.vstack([c + rng.normal(size=(100, 5)) for c in centres])
+        obs = centres[1] + rng.normal(size=(40, 5))
+        g = build_knn_graph(np.vstack([labelled, obs]), GraphConfig(k=5))
+        Y_l = one_hot_labels(np.repeat([1, 2, 3], 100), 3)
+        votes = labelprop._cg_votes(g.S, Y_l, 40, mu)
+        assert votes.tolist() == reference_lp_votes(g.S, Y_l, 40, mu).tolist()
+
+    def test_single_class(self):
+        S = similarity(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        assert labelprop._cg_votes(S, one_hot_labels([1], 1), 2).tolist() == [2]
+
+
+class TestVotesEqualTheDenseOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), mu=st.sampled_from([0.1, 1.0, 10.0]))
+    def test_certified_votes_on_random_knn_graphs(self, seed, mu):
+        S, Y_l, l, m, c = random_graph_instance(np.random.default_rng(seed), n_max=120)
+        want = reference_lp_votes(S, Y_l, m, mu)
+        votes = labelprop._cg_votes(S, Y_l, m, mu)
+        assert votes is None or votes.tolist() == want.tolist()
+        assert lp_votes(S, Y_l, m, mu).tolist() == want.tolist()
+
+    def test_rejects_mismatched_shapes(self):
+        S, Y_l, l, m, c = random_graph_instance(np.random.default_rng(0))
+        for bad in (0, m + 1):
+            with pytest.raises(ValueError):
+                lp_votes(S, Y_l, bad)
+
+    def test_lp_classifier_on_a_large_raster_gallery(self, monkeypatch):
+        # l = 1000, so every query tries CG first; the decisions must be
+        # bitwise those of the dense votes on the same graph, through both
+        # the certified path and the dense fallback
+        paths = {"cg": 0, "fallback": 0}
+        for name, key in (("_cg_votes", "cg"), ("lp_solve", "fallback")):
+            def counting(*args, _real=getattr(labelprop, name), _key=key, **kwargs):
+                paths[_key] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(labelprop, name, counting)
+        graphs = []
+
+        def recording(S, Y_l, m, mu):
+            graphs.append(S)
+            return lp_votes(S, Y_l, m, mu)
+
+        monkeypatch.setattr(evaluate, "lp_votes", recording)
+        fixture = RotatedRasterFixture(RotatedRasterConfig(seed=0))
+        gallery = fixture.gallery(100, np.random.default_rng([0, 1]))
+        Y_l = one_hot_labels(np.repeat(np.arange(1, 11), [len(ts) for ts in gallery]), 10)
+        classify = make_classifier("lp")
+        decisions = []
+        for q in range(30):
+            m = (10, 50, 150)[q % 3]
+            _, obs = fixture.make_instance(q % 10 + 1, m, np.random.default_rng([0, 4, q]))
+            decisions.append((m, classify(gallery, obs)))
+        assert paths["cg"] == len(decisions)
+        assert 0 < paths["fallback"] < len(decisions)
+        monkeypatch.undo()
+        for (m, dec), S in zip(decisions, graphs, strict=True):
+            want = reference_lp_votes(S, Y_l, m)
+            assert dec.decision == int(np.argmax(want)) + 1
+            assert dec.scores == tuple(float(v) / m for v in want)
+            assert dec.tie == bool((want == want.max()).sum() > 1)
