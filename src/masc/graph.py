@@ -10,6 +10,8 @@ import numpy as np
 from scipy import sparse
 from scipy.spatial.distance import cdist, pdist, squareform
 
+from .data import DataError
+
 
 @dataclass(frozen=True)
 class GraphConfig:
@@ -53,6 +55,13 @@ class SimilarityGraph:
 
 _BLOCK = 1 << 17  # distances per row tile (1 MB) of the gallery's k-NN selection
 _WINDOWS = 8  # sigma windows a gallery keeps, the most recently used
+# Galleries below this many rows get the full cdist block: there it costs
+# less than the estimate and the recomputation (measured crossover).
+_FILTER_MIN_L = 200
+# A query whose pairs needing exact values exceed this share of its m x l
+# block computes the whole block instead (ties, duplicates, integer grids).
+_FULL_SHARE = 0.25
+_U = np.finfo(float).eps / 2  # unit roundoff
 
 
 @dataclass(frozen=True)
@@ -79,9 +88,10 @@ class GalleryIndex:
 
     Everything here depends on the labelled rows alone, so one index serves
     every query against the same block. The k-NN lists are filled on first
-    use of each k and the sigma windows on first use of each sample size;
-    no l x l distance block is kept. ``X`` is used as given and must not
-    change while the index lives.
+    use of each k, the sigma windows on first use of each sample size and
+    the rows centred on their mean (for :meth:`cross`'s estimate) on the
+    first query; no l x l distance block is kept. ``X`` is used as given and
+    must not change while the index lives.
     """
 
     def __init__(self, X):
@@ -91,6 +101,7 @@ class GalleryIndex:
         self.X = X
         self._lists: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._windows: dict[tuple[int, int, int], _SigmaWindow] = {}
+        self._centred: tuple[np.ndarray, np.ndarray, np.ndarray, float] | None = None
         self._lock = threading.Lock()
 
     @property
@@ -130,18 +141,109 @@ class GalleryIndex:
                 del self._windows[next(iter(self._windows))]
         return window
 
+    def cross(self, obs) -> _CrossBlock:
+        """The squared distances from the rows of ``obs`` to the gallery
+        rows, as a GEMM estimate with an error bound (see
+        :class:`_CrossBlock`).
+
+        With the gallery rows centred on their mean, x, and the observations
+        centred on the same mean, a, the estimate is
+        G = ||a||² + ||x||² - 2 a·x, one m x l GEMM. Row i's bound is
+        e_i = (2d + 16) u s_i² + 8 (d + 1) 2^-1074, with u = 2^-53 and
+        s_i = ||a_i|| + max_j ||x_j||. To first order in u:
+
+        - the norms and the dot product, summed in any order with or
+          without FMA, as any BLAS blocks or threads the GEMM, are off by at
+          most d u (||a||² + ||x||² + 2 ||a|| ||x||) <= d u s²;
+        - the two additions that form G add at most 2 u s²;
+        - centring rounds each coordinate of a and x by a relative u, which
+          moves ||a - x||² from the true squared distance by at most 2 u s²;
+        - ``cdist`` sums d squared differences, each rounded twice, in any
+          order, so its value is within a relative (d + 2) u of the true
+          one, itself at most s².
+
+        That makes (2d + 6) u s²; the 10 u s² left over cover the second
+        order terms and the rounding of every comparison made against G ± e
+        and of the sigma band's ends (see :func:`_median_sigma`). Each
+        rounding that lands below the normal range adds at most 2^-1075
+        absolutely, fewer than 16 (d + 1) of them in all. Exactness never
+        rests on G being close, only the count of pairs to recompute does,
+        and centring keeps s small for data far from the origin.
+
+        Below :data:`_FILTER_MIN_L` gallery rows, for m = 0 and where s² is
+        not far from overflow (or not a number) the estimate is the
+        ``cdist`` block itself, with e = 0.
+        """
+        obs = np.asarray(obs, dtype=float)
+        m, d = obs.shape
+        if self.l >= _FILTER_MIN_L and m:
+            with self._lock:
+                if self._centred is None:
+                    mean = self.X.mean(axis=0)
+                    Xc = self.X - mean
+                    xn = np.einsum("ij,ij->i", Xc, Xc)
+                    self._centred = mean, Xc, xn, math.sqrt(xn.max())
+                mean, Xc, xn, R = self._centred
+            A = obs - mean
+            an = np.einsum("ij,ij->i", A, A)
+            s2 = np.square(np.sqrt(an) + R)
+            if s2.max() < 2.0 ** 1000:
+                G = A @ Xc.T
+                G *= -2.0
+                G += an[:, None]
+                G += xn
+                e = (2 * d + 16) * _U * s2 + 8 * (d + 1) * 2.0 ** -1074
+                return _CrossBlock(self.X, obs, G, e)
+        return _CrossBlock(self.X, obs, cdist(obs, self.X, "sqeuclidean"))
+
     def sigma(self, obs, config: GraphConfig = GraphConfig()) -> float:
         """The median-heuristic sigma of the gallery rows stacked on ``obs``."""
         obs = np.asarray(obs, dtype=float)
-        return _median_sigma(self, cdist(obs, self.X, "sqeuclidean"),
-                             pdist(obs, "sqeuclidean"), config)
+        return _median_sigma(self, self.cross(obs), pdist(obs, "sqeuclidean"), config)
+
+
+class _CrossBlock:
+    """A query's m x l squared distances to the gallery rows.
+
+    ``G`` estimates them and |G_ij - cdist_ij| <= ``e[i]`` for every j, so
+    G settles every comparison whose margin exceeds the bound. The pairs it
+    cannot settle get their ``cdist`` values from :meth:`exact`, and every
+    value that leaves this block (an edge, a sigma) is one of those.
+    Without ``e``, G is the ``cdist`` block itself, e = 0 and :meth:`exact`
+    reads G.
+    """
+
+    def __init__(self, X, obs, G, e=None):
+        self.X, self.obs, self.G = X, obs, G
+        self.e = np.zeros(G.shape[0]) if e is None else e
+        self._block = G if e is None else None
+
+    def exact(self, rows, cols) -> np.ndarray:
+        """``cdist`` values of the pairs (rows[t], cols[t]), listed row by
+        row. One ``cdist`` call per row computes them, unless they exceed
+        :data:`_FULL_SHARE` of the block: then the whole block, once.
+
+        A single row's ``cdist`` on a subset of the gallery rows equals the
+        same entries of the full block, and ``pdist``, bit for bit;
+        ``tests/test_graph.py`` pins that.
+        """
+        if self._block is None and rows.size > _FULL_SHARE * self.G.size:
+            self._block = cdist(self.obs, self.X, "sqeuclidean")
+        if self._block is not None:
+            return self._block[rows, cols]
+        out = np.empty(rows.size)
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        for a, b in zip(starts, np.r_[starts[1:], rows.size]):
+            i = rows[a]
+            out[a:b] = cdist(self.obs[i:i + 1], self.X[cols[a:b]], "sqeuclidean")[0]
+        return out
 
 
 def _nearest(D, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Column indices and values of each row's k smallest entries of ``D``,
     ordered by (value, column)."""
-    if k == 0:
-        return np.empty((D.shape[0], 0), dtype=np.intp), np.empty((D.shape[0], 0))
+    if k == 0 or D.shape[0] == 0:
+        return np.empty((D.shape[0], k), dtype=np.intp), np.empty((D.shape[0], k))
     # k-th smallest per row via partition; rows with ties at the boundary are
     # trimmed to the smaller columns so the selection is deterministic
     kth = np.partition(D, k - 1, axis=1)[:, k - 1:k]
@@ -162,17 +264,25 @@ def _middle(size: int) -> tuple[int, int]:
     return (size - 1) // 2, size // 2
 
 
+def _ranked(d2, lo: int, hi: int) -> tuple[float, float]:
+    """The values of ranks ``lo`` and ``hi`` = lo or lo + 1 in ``d2``, which
+    is reordered in place."""
+    # one partition and a min: partitioning at both ranks at once took six
+    # times as long on a quarter million values
+    d2.partition(lo)
+    return d2[lo], (d2[lo + 1:].min() if hi > lo else d2[lo])
+
+
 def _half_median(d2, lo: int, hi: int) -> float:
     """Half the average of the distances whose squares have ranks ``lo`` and
-    ``hi`` in ``d2``, which is reordered in place."""
-    d2.partition([lo, hi])
+    ``hi`` = lo or lo + 1 in ``d2``, which is reordered in place."""
     # sqrt is monotone and sqrt(sqeuclidean) equals scipy's euclidean bit
     # for bit, so this is the median of the plain distances, averaged as
     # np.median averages its two middle values
-    a, b = math.sqrt(d2[lo]), math.sqrt(d2[hi])
+    a, b = map(math.sqrt, _ranked(d2, lo, hi))
     median = a if lo == hi else (a + b) / 2.0
-    if median == 0.0:
-        raise ValueError("zero median distance")
+    if median == 0.0:  # the data's doing, mostly duplicate rows
+        raise DataError("zero median distance")
     return median / 2.0
 
 
@@ -209,19 +319,39 @@ def _sigma_window(gallery: GalleryIndex, m: int, take: int, seed: int) -> _Sigma
     return _SigmaWindow(li, oi, pairs, A[s:e].copy(), lo - s, hi - s)
 
 
-def _median_sigma(gallery: GalleryIndex, C, Pc, config: GraphConfig) -> float:
+def _median_sigma(gallery: GalleryIndex, cross: _CrossBlock, Pc, config: GraphConfig) -> float:
     """:func:`estimate_sigma` of the gallery rows stacked on m observations,
-    from the m x l cross block ``C`` and the condensed observation distances
+    from their :class:`_CrossBlock` and the condensed observation distances
     ``Pc``.
 
     The gallery's share comes from its cached sigma window for this m (see
     :func:`_sigma_window`), so after the first query of each m the cost is
     O(m·take) for gathering and partitioning the query's own values and the
     window instead of O(take²).
+
+    The query's gallery distances enter as estimates, each within E/2 of
+    its ``cdist`` value, E = 2 max e. Sorting moves no value further than
+    that, so the exact values of the middle ranks lo and hi lie within E/2
+    of the estimates' values a and b of those ranks. A value estimated
+    below a - E is exactly below rank lo's, and one above b + E above rank
+    hi's; e's own margin covers the rounding of a - E and b + E. So with
+    ``below`` values under a - E, the middle values are those of ranks
+    lo - below and hi - below among the values in [a - E, b + E], once
+    their estimates are replaced by ``cdist`` values.
     """
-    w = gallery.window(C.shape[0], config)
-    d2 = np.concatenate([w.values, C[np.ix_(w.oi, w.li)].ravel(), Pc[w.pairs]])
-    return _half_median(d2, w.lo, w.hi)
+    w = gallery.window(cross.G.shape[0], config)
+    G = cross.G[w.oi][:, w.li]
+    d2 = np.concatenate([w.values, G.ravel(), Pc[w.pairs]])
+    E = 2.0 * cross.e[w.oi].max(initial=0.0)
+    if not E:  # every value is exact
+        return _half_median(d2, w.lo, w.hi)
+    a, b = _ranked(d2.copy(), w.lo, w.hi)
+    below = np.count_nonzero(d2 < a - E)
+    band = (d2 >= a - E) & (d2 <= b + E)
+    at = np.flatnonzero(band[w.values.size:w.values.size + G.size])
+    i, j = np.unravel_index(at, G.shape)
+    d2[w.values.size + at] = cross.exact(w.oi[i], w.li[j])
+    return _half_median(d2[band], w.lo - below, w.hi - below)
 
 
 def estimate_sigma(X, config: GraphConfig = GraphConfig()) -> float:
@@ -253,11 +383,22 @@ def build_knn_graph(X, config: GraphConfig = GraphConfig(),
     endpoint selects the other.
 
     ``gallery`` indexes the leading rows of ``X``; only the distances from
-    the remaining m rows are computed, O(m (l + m) d). A labelled row's k
-    nearest nodes are its cached labelled neighbours merged with the closer
-    observations: the observations come after every labelled row, so a tie
-    still goes to the smaller index and the graph equals a full rebuild
-    exactly. Without ``gallery`` all of ``X`` is indexed first.
+    the remaining m rows are decided here. A labelled row's k nearest nodes
+    are its cached labelled neighbours merged with the closer observations:
+    the observations come after every labelled row, so a tie still goes to
+    the smaller index and the graph equals a full rebuild exactly. Without
+    ``gallery`` all of ``X`` is indexed first.
+
+    The m x l observation-gallery distances come as a GEMM estimate G with
+    a per-row bound e (:meth:`GalleryIndex.cross`): G decides and ``cdist``
+    confirms. Only pairs G cannot place get their ``cdist`` values: those
+    within e of an observation row's k-th smallest upper bound, or of a
+    gallery row's k-th neighbour distance, or of the sigma median. Every
+    other pair is strictly farther than the boundary it is tested against,
+    so it is never selected, and every edge weight and sigma comes from
+    ``cdist`` values. The graph is therefore bitwise the one the full
+    ``cdist`` block gives. A query costs an O(m l d) GEMM, O(m² d) for the
+    observations' own ``pdist`` and O(d) per recomputed pair.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -274,18 +415,38 @@ def build_knn_graph(X, config: GraphConfig = GraphConfig(),
         raise ValueError("X must start with the gallery's rows")
     l, m = gallery.l, n - gallery.l
     obs = X[l:]
-    C = cdist(obs, gallery.X, "sqeuclidean")
+    cross = gallery.cross(obs)
     Pc = pdist(obs, "sqeuclidean")
     P = squareform(Pc) if m else np.empty((0, 0))
-    sigma = config.sigma if config.sigma is not None else _median_sigma(gallery, C, Pc, config)
-
-    # gallery rows: cached lists merged with any strictly closer observation
+    np.fill_diagonal(P, np.inf)  # a row is not its own neighbour
+    sigma = config.sigma if config.sigma is not None else _median_sigma(gallery, cross, Pc, config)
     heads, head_d2 = gallery.neighbours(k)
     full = heads.shape[1] == k  # a gallery of l <= k rows lists only l - 1
-    merge = np.flatnonzero((C.T < head_d2[:, -1:]).any(axis=1)) if full else np.arange(l)
+
+    # the pairs G cannot place: an observation row's k nearest nodes have
+    # exact values at most its k-th smallest upper bound t, and a gallery
+    # row takes an observation only below its k-th neighbour distance
+    e = cross.e[:, None]
+    low = cross.G - e
+    up = np.partition(cross.G, min(k, l) - 1, axis=1)[:, :k] + e
+    t = np.partition(np.hstack([up, P]), k - 1, axis=1)[:, k - 1:k]
+    kth = head_d2[:, -1] if full else np.full(l, np.inf)
+    need = (low <= t) | (low < kth)
+    rows, cols = np.nonzero(need)
+    d2 = cross.exact(rows, cols)
+
+    # gallery rows: cached lists merged with any strictly closer observation;
+    # the observations left out are no closer than the k-th, so they would
+    # sort after the whole cached list and are left at inf
+    closer = d2 < kth[cols]
+    hit = cols[closer]
+    # a list shorter than k takes every observation
+    merge = np.flatnonzero(np.bincount(hit, minlength=l)) if full else np.arange(l)
     if merge.size:
+        obs_d2 = np.full((merge.size, m), np.inf)
+        obs_d2[np.searchsorted(merge, hit), rows[closer]] = d2[closer]
         cand = np.hstack([heads[merge], np.broadcast_to(l + np.arange(m), (merge.size, m))])
-        cand_d2 = np.hstack([head_d2[merge], C.T[merge]])
+        cand_d2 = np.hstack([head_d2[merge], obs_d2])
         # cached lists are in (distance, index) order and every observation
         # index is larger, so a stable sort keeps the index tie-break
         order = np.argsort(cand_d2, axis=1, kind="stable")[:, :k]
@@ -296,10 +457,23 @@ def build_knn_graph(X, config: GraphConfig = GraphConfig(),
             heads[merge], head_d2[merge] = merged, merged_d2
         else:
             heads, head_d2 = merged, merged_d2
-    # observation rows: k smallest of their m x n block
-    D = np.hstack([C, P])
-    D[np.arange(m), l + np.arange(m)] = np.inf
-    tails, tail_d2 = _nearest(D, k)
+    # observation rows: their k nearest nodes lie among the recomputed
+    # gallery columns and the observations no farther than t, laid out row
+    # by row in column order; the inf padding after a row is never taken,
+    # as a padded row has a finite t and k values up to it
+    prow, pcol = np.nonzero(P <= t)
+    order = np.argsort(np.concatenate([rows, prow]), kind="stable")
+    rows = np.concatenate([rows, prow])[order]
+    cols = np.concatenate([cols, l + pcol])[order]
+    d2 = np.concatenate([d2, P[prow, pcol]])[order]
+    counts = np.bincount(rows, minlength=m)
+    pos = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    D = np.full((m, counts.max(initial=0)), np.inf)
+    D[rows, pos] = d2
+    node = np.zeros(D.shape, dtype=np.intp)
+    node[rows, pos] = cols
+    near, tail_d2 = _nearest(D, k)
+    tails = node[np.arange(m)[:, None], near]
 
     # keep (i, j) if either endpoint selected the other, in row-major order
     src = np.repeat(np.arange(n), k)

@@ -99,6 +99,19 @@ class TestClassify:
         assert code == 3
         assert "observation set has no spread" in err
 
+    @pytest.mark.parametrize("argv", [["classify", "--classifier", "masc"],
+                                      ["classify", "--classifier", "lp"], ["graph"]])
+    def test_all_duplicate_rows_are_a_data_error(self, capsys, tmp_path, argv):
+        # every distance is zero, so the median heuristic has no scale
+        ds = Dataset(labeled=np.full((6, 3), 2.5), labeled_classes=[1] * 3 + [2] * 3,
+                     observations=np.full((4, 3), 2.5), c=2)
+        path = tmp_path / "dup.csv"
+        save_dataset(ds, path)
+        code, out, err = run(capsys, *argv, "--input", str(path))
+        assert code == 3
+        assert out == ""
+        assert "zero median distance" in err
+
     @pytest.mark.parametrize("name,code", [("msm", 0), ("kmsm", 3)])
     def test_two_distinct_observations(self, capsys, tmp_path, name, code):
         # two distinct rows three times each: rank 1 once centered, below q = 2

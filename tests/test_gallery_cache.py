@@ -5,6 +5,7 @@ decisions with a reference path that fits every set per call, and kld's
 also with the dense Gaussian fit and KL in ``oracles``.
 """
 
+import itertools
 import re
 import sys
 import threading
@@ -16,8 +17,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist, pdist, squareform
 
+from masc import graph
 from masc.cli import main
 from masc.evaluate import CLASSIFIERS, Decision, make_classifier
 from masc.fixtures import (
@@ -79,7 +81,7 @@ def graph_instances(count, seed):
 
 
 @pytest.mark.parametrize("X,l,config", graph_instances(150, 0))
-def test_graph_matches_dense_reference_bitwise(X, l, config):
+def test_graph_matches_dense_reference_bitwise(X, l, config, monkeypatch):
     try:
         want = reference_knn_graph(X, config)
     except ValueError as exc:  # zero median distance on an all-duplicate set
@@ -87,20 +89,104 @@ def test_graph_matches_dense_reference_bitwise(X, l, config):
             build_knn_graph(X, config)
         return
     assert_same_graph(build_knn_graph(X, config), want)
-    gallery = GalleryIndex(X[:l].copy())
-    assert_same_graph(build_knn_graph(X, config, gallery), want)
-    # the k-NN lists cached by the first query serve a second one unchanged
-    assert_same_graph(build_knn_graph(X, config, gallery), want)
+    for min_l in (graph._FILTER_MIN_L, 0):  # the full block, then the filter
+        monkeypatch.setattr(graph, "_FILTER_MIN_L", min_l)
+        gallery = GalleryIndex(X[:l].copy())
+        assert_same_graph(build_knn_graph(X, config, gallery), want)
+        # the k-NN lists cached by the first query serve a second one unchanged
+        assert_same_graph(build_knn_graph(X, config, gallery), want)
 
 
 @pytest.mark.parametrize("X,l,config", graph_instances(60, 1))
-def test_sigma_matches_reference_bitwise(X, l, config):
+def test_sigma_matches_reference_bitwise(X, l, config, monkeypatch):
     try:
         want = reference_sigma(X, config)
     except ValueError:
         return
     assert estimate_sigma(X, config) == want
     assert GalleryIndex(X[:l]).sigma(X[l:], config) == want
+    monkeypatch.setattr(graph, "_FILTER_MIN_L", 0)
+    assert GalleryIndex(X[:l]).sigma(X[l:], config) == want
+
+
+# -- the GEMM filter ------------------------------------------------------------
+
+@pytest.fixture
+def full_blocks(monkeypatch):
+    """The shapes of graph's cdist calls. For m > 1, an (m, l) one is a
+    query's full block: a per-row recomputation has one row."""
+    calls = []
+
+    def counting(XA, XB, *args, **kwargs):
+        out = cdist(XA, XB, *args, **kwargs)
+        calls.append(out.shape)
+        return out
+
+    monkeypatch.setattr(graph, "cdist", counting)
+    return calls
+
+
+def hard_instances():
+    """(name, X, l) on which the estimate cannot settle every comparison:
+    integer grids, duplicate rows, rows equidistant from an observation,
+    rows far from the origin, and the same rows scaled by powers of two."""
+    rng = np.random.default_rng(21)
+    out = [("grid", rng.integers(0, 3, size=(90, 4)).astype(float), 70),
+           ("coarse-grid", rng.integers(0, 2, size=(75, 3)).astype(float), 60)]
+    rows = rng.normal(size=(30, 5))
+    gallery = np.repeat(rows, 3, axis=0)
+    out.append(("duplicates", np.vstack([gallery, rows[:6], rows[:6], rows[3:9] + 1e-3]), 90))
+    # each cube centre is at squared distance 1.5 from its 64 corners, and
+    # each corner 1 from six corners and 2 from fifteen
+    cubes = [np.array(list(itertools.product([0.0, 1.0], repeat=6))) + 3.0 * v
+             for v in range(3)]
+    centres = 0.5 + 3.0 * np.arange(3)[:, None] * np.ones(6)
+    out.append(("equidistant", np.vstack(cubes + [centres, rng.normal(size=(9, 6)) + 1.5]), 192))
+    normal = rng.normal(size=(80, 6))
+    out.append(("offset", normal + 1e6, 64))
+    for j in (-60, -3, 0, 5, 60):
+        out.append((f"scaled-2^{j}", normal * 2.0 ** j, 64))
+    return out
+
+
+@pytest.mark.parametrize("name,X,l", [pytest.param(*case, id=case[0]) for case in hard_instances()])
+@pytest.mark.parametrize("k", [1, 5, 7])
+def test_filtered_graph_and_sigma_match_the_references(monkeypatch, name, X, l, k):
+    monkeypatch.setattr(graph, "_FILTER_MIN_L", 0)
+    for config in (GraphConfig(k=k), GraphConfig(k=k, sigma_sample_cap=40, sigma_seed=k)):
+        want = reference_knn_graph(X, config)
+        index = GalleryIndex(X[:l])
+        for _ in range(2):  # cold, then warm
+            assert_same_graph(build_knn_graph(X, config, index), want)
+            assert index.sigma(X[l:], config) == want.sigma
+    if name.startswith("scaled-2^"):  # 2^j X has the weights of X, and 2^j its sigma
+        j = int(name[len("scaled-2^"):])
+        got = build_knn_graph(X, GraphConfig(k=k), GalleryIndex(X[:l]))
+        base = reference_knn_graph(X * 2.0 ** -j, GraphConfig(k=k))
+        for part in ("H", "S"):
+            assert getattr(got, part).data.tobytes() == getattr(base, part).data.tobytes()
+        assert got.sigma == base.sigma * 2.0 ** j
+
+
+def test_filter_and_full_block_are_both_reached(full_blocks):
+    rng = np.random.default_rng(22)
+    config = GraphConfig(k=5)
+    small = graph._FILTER_MIN_L - 10  # below the crossover
+    cases = [  # (X, l, full blocks expected)
+        (rng.normal(size=(340, 6)) + 1e6, 300, 0),  # centring keeps the bound tight
+        (rng.normal(size=(250, 3)) * 2.0 ** 40, 210, 0),
+        (rng.integers(0, 2, size=(340, 3)).astype(float), 300, 1),  # a third of the pairs tie
+        (rng.normal(size=(small + 40, 6)), small, 1),
+    ]
+    for X, l, blocks in cases:
+        index = GalleryIndex(X[:l])
+        index.neighbours(config.k)  # its row tiles are not a query's
+        del full_blocks[:]
+        assert_same_graph(build_knn_graph(X, config, index), reference_knn_graph(X, config))
+        assert full_blocks.count((X.shape[0] - l, l)) == blocks
+        del full_blocks[:]
+        assert index.sigma(X[l:], config) == reference_sigma(X, config)
+        assert full_blocks.count((X.shape[0] - l, l)) == blocks
 
 
 def test_underflowed_weights_stay_in_H_and_leave_S(tmp_path):
@@ -285,6 +371,13 @@ def test_sigma_and_masc_match_the_references_on_random_galleries(seed, l, d, k, 
     m = data.draw(st.integers(1, 40), label="m")
     cap = data.draw(st.integers(2, l + m + 3), label="cap")
     assume(l + m > k)
+    with pytest.MonkeyPatch.context() as patch:
+        # every gallery takes the GEMM filter, however small
+        patch.setattr(graph, "_FILTER_MIN_L", 0)
+        _check_random_gallery(seed, l, d, k, grid, sigma_seed, m, cap)
+
+
+def _check_random_gallery(seed, l, d, k, grid, sigma_seed, m, cap):
     rng = np.random.default_rng(seed)
     X = points(rng, l + m, d, grid)
     config = GraphConfig(k=k, sigma_sample_cap=cap, sigma_seed=sigma_seed)

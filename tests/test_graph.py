@@ -2,8 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist, pdist, squareform
 
-from masc.graph import GraphConfig, build_knn_graph, dump_edges, estimate_sigma, normalize_similarity
+from masc import graph
+from masc.data import DataError
+from masc.graph import (
+    GalleryIndex,
+    GraphConfig,
+    build_knn_graph,
+    dump_edges,
+    estimate_sigma,
+    normalize_similarity,
+)
 from oracles import brute_force_neighbors
 
 
@@ -24,8 +34,10 @@ class TestEstimateSigma:
         assert estimate_sigma(X, cfg) == estimate_sigma(X, cfg)
 
     def test_zero_median_errors(self):
+        # the data's fault, not the configuration's: a DataError, which the
+        # CLI reports with exit code 3
         X = np.zeros((5, 2))
-        with pytest.raises(ValueError, match="zero median"):
+        with pytest.raises(DataError, match="zero median"):
             estimate_sigma(X)
 
 
@@ -141,3 +153,52 @@ def test_dump_edges_format():
         i, j, w = line.split()
         assert int(i) < int(j)
         assert float(w) > 0.0
+
+
+# -- the distances the GEMM filter rests on -------------------------------------
+
+def _spread_rows(rng, n, d):
+    """Rows whose coordinates span six orders of magnitude, so that the
+    summation order of a squared distance shows in its last bits."""
+    return rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3, size=(n, d))
+
+
+@pytest.mark.parametrize("d", [1, 5, 256, 257])
+def test_row_cdist_on_a_column_subset_equals_the_full_block_and_pdist(d):
+    # the filter recomputes the pairs G cannot place one observation row at
+    # a time, on a subset of the gallery rows; graphs stay bitwise only if
+    # those values equal the full block's and pdist's
+    rng = np.random.default_rng(d)
+    X, obs = _spread_rows(rng, 40, d), _spread_rows(rng, 9, d)
+    full = cdist(obs, X, "sqeuclidean")
+    P = squareform(pdist(np.vstack([X, obs]), "sqeuclidean"))
+    assert full.tobytes() == np.ascontiguousarray(P[40:, :40]).tobytes()
+    for i in range(obs.shape[0]):
+        for cols in (np.sort(rng.choice(40, size=7, replace=False)), rng.permutation(40)[:3],
+                     np.arange(40), np.array([i])):
+            got = cdist(obs[i:i + 1], X[cols], "sqeuclidean")[0]
+            assert got.tobytes() == full[i, cols].tobytes(), (i, cols)
+
+
+@pytest.mark.parametrize("shift,scale", [(0.0, 1.0), (1e6, 1.0), (0.0, 2.0 ** -60),
+                                         (0.0, 2.0 ** 60), (-3e3, 1e-3)])
+@pytest.mark.parametrize("d", [1, 5, 257])
+def test_estimate_stays_within_its_bound(monkeypatch, d, shift, scale):
+    monkeypatch.setattr(graph, "_FILTER_MIN_L", 0)
+    rng = np.random.default_rng([d, 7])
+    X = (_spread_rows(rng, 60, d) + shift) * scale
+    obs = np.vstack([(_spread_rows(rng, 12, d) + shift) * scale, X[:3], X[:3] + scale * 1e-9])
+    cross = GalleryIndex(X).cross(obs)
+    assert cross.e.all() and np.isfinite(cross.e).all()  # the estimate, not the block
+    exact = cdist(obs, X, "sqeuclidean")
+    assert (np.abs(cross.G - exact) <= cross.e[:, None]).all()
+    rows, cols = np.nonzero(rng.random(exact.shape) < 0.3)
+    assert cross.exact(rows, cols).tobytes() == exact[rows, cols].tobytes()
+
+
+def test_estimate_gives_way_to_the_block_near_overflow(monkeypatch):
+    monkeypatch.setattr(graph, "_FILTER_MIN_L", 0)
+    X = np.random.default_rng(8).normal(size=(30, 3)) * 1e305
+    cross = GalleryIndex(X).cross(X[:4] * 0.5)
+    assert not cross.e.any()
+    assert cross.G.tobytes() == cdist(X[:4] * 0.5, X, "sqeuclidean").tobytes()
