@@ -9,6 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from .data import DataError, resample_set
 from .graph import GalleryIndex, GraphConfig, build_knn_graph
@@ -18,9 +19,9 @@ from .statdist import GaussianModel, fit_gaussian, symmetric_kl
 from .statdist import kl_gaussian  # noqa: F401  perfbench's tracer tests patch it here
 from .subspace import (
     PCAFit,
-    gaussian_kernel,
-    kmsm_similarity,
-    kpca_subspace,
+    gaussian_weights,
+    gram_kmsm_similarity,
+    kpca_gram,
     msm_similarity,
     pca_fit,
 )
@@ -94,8 +95,8 @@ class _Gallery:
     """One labelled block and what the classifiers derive from it alone.
 
     Holds a read-only copy of the class sets, stacked in class order. The
-    graph index and the per-class fits are built on first use and never
-    change after that.
+    graph index, the per-class distances and the per-class fits are built
+    on first use and never change after that.
     """
 
     def __init__(self, sets):
@@ -136,6 +137,10 @@ class _Gallery:
     def pca_fits(self, q: int) -> list[PCAFit]:
         """Each class's leading q principal directions."""
         return self._part(("pca", q), lambda: [pca_fit(ts, q) for ts in self.sets])
+
+    def class_distances(self) -> list[np.ndarray]:
+        """Each class's condensed squared distances (``pdist``)."""
+        return self._part("pdist", lambda: [pdist(ts, "sqeuclidean") for ts in self.sets])
 
     def gaussians(self, energy_cutoff: float) -> list[GaussianModel]:
         """Each class's Gaussian fit in spectral form."""
@@ -204,9 +209,9 @@ def _subspace_q(q, sets, obs):
     return max(1, min(int(q), smallest - 1, obs.shape[1]))
 
 
-def _kernel_subspace(what, X, q, kernel):
+def _kernel_fit(what, K, q):
     try:
-        return kpca_subspace(X, q, kernel=kernel)
+        return kpca_gram(K, q)
     except DataError as exc:
         raise DataError(f"{what} has too few distinct samples: {exc}") from None
 
@@ -218,9 +223,12 @@ def make_classifier(name: str, *, k: int = 5, sigma: float | None = None,
     """Callable (train_sets, observations) -> Decision for one classifier id.
 
     For the graph methods the samples are stacked labelled-first. Work that
-    depends on the class sets alone (gallery distances and k-NN lists, PCA
-    subspaces, Gaussian fits) is done once per gallery and reused while
-    queries keep arriving with the same sets; see :class:`_LatestGallery`.
+    depends on the class sets alone (gallery k-NN lists and sigma windows,
+    each class's distances, PCA subspaces, Gaussian fits) is done once per
+    gallery and reused while queries keep arriving with the same sets; see
+    :class:`_LatestGallery`. A kmsm query computes its distances to the
+    gallery rows once, as one exact block that both sigma and every class's
+    cross kernel read.
     The subspace dimension is capped at (smallest set size - 1) so thin sets
     stay usable; msm further caps each set's subspace at that set's
     numerical rank, the observation subspace below d and each class subspace
@@ -269,13 +277,23 @@ def make_classifier(name: str, *, k: int = 5, sigma: float | None = None,
         def classify(train_sets, observations):
             gallery, obs = _query(train_sets, observations, fits_sets=True)
             q_eff = _subspace_q(q, gallery.sets, obs)
+            # one m x l block of exact distances serves sigma and every
+            # class's cross kernel
+            C = cdist(obs, gallery.X, "sqeuclidean")
+            Pc = pdist(obs, "sqeuclidean")
             skern = sigma_kernel
             if skern is None:
-                skern = gallery.index().sigma(obs, graph_config)
-            kernel = gaussian_kernel(skern)
-            test = _kernel_subspace("observation set", obs, q_eff, kernel)
-            sims = [kmsm_similarity(_kernel_subspace(f"class {p}", ts, q_eff, kernel), test)
-                    for p, ts in enumerate(gallery.sets, start=1)]
+                skern = gallery.index().sigma(C, Pc, graph_config)
+            weights = gaussian_weights(skern)
+            test = _kernel_fit("observation set", weights(squareform(Pc)), q_eff)
+            sims, a = [], 0
+            for p, (ts, P) in enumerate(zip(gallery.sets, gallery.class_distances()), start=1):
+                fit = _kernel_fit(f"class {p}", weights(squareform(P)), q_eff)
+                # made contiguous, the slice is cdist(class, obs) bit for
+                # bit, in the memory layout its row and column means need
+                Kab = weights(np.ascontiguousarray(C[:, a:a + len(ts)].T))
+                sims.append(gram_kmsm_similarity(Kab, fit, test))
+                a += len(ts)
             decision, tie = _decide(sims, np.argmax)
             return Decision(decision, tuple(sims), tie)
 

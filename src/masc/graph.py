@@ -196,10 +196,17 @@ class GalleryIndex:
                 return _CrossBlock(self.X, obs, G, e)
         return _CrossBlock(self.X, obs, cdist(obs, self.X, "sqeuclidean"))
 
-    def sigma(self, obs, config: GraphConfig = GraphConfig()) -> float:
-        """The median-heuristic sigma of the gallery rows stacked on ``obs``."""
-        obs = np.asarray(obs, dtype=float)
-        return _median_sigma(self, self.cross(obs), pdist(obs, "sqeuclidean"), config)
+    def sigma(self, C, Pc, config: GraphConfig = GraphConfig()) -> float:
+        """The median-heuristic sigma of the gallery rows stacked on m
+        observations, from their exact squared distances: the m x l block
+        ``C`` (``cdist`` of the observations and the gallery rows) and the
+        condensed ``Pc`` (``pdist`` of the observations).
+
+        A caller that needs the whole block anyway (kmsm's cross kernels)
+        passes it here; :func:`build_knn_graph` takes the estimate of
+        :meth:`cross` instead.
+        """
+        return _median_sigma(self, _CrossBlock(self.X, None, C), Pc, config)
 
 
 class _CrossBlock:
@@ -210,7 +217,7 @@ class _CrossBlock:
     cannot settle get their ``cdist`` values from :meth:`exact`, and every
     value that leaves this block (an edge, a sigma) is one of those.
     Without ``e``, G is the ``cdist`` block itself, e = 0 and :meth:`exact`
-    reads G.
+    reads G; ``obs`` is then not needed.
     """
 
     def __init__(self, X, obs, G, e=None):

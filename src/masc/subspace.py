@@ -7,7 +7,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg
-from scipy.spatial.distance import cdist, pdist, squareform
+from scipy.spatial.distance import cdist
 
 from .data import DataError
 
@@ -26,17 +26,15 @@ class Subspace:
 
 
 @dataclass(frozen=True)
-class KernelSubspace:
-    """Feature-space principal subspace expressed over the training set.
+class KernelFit:
+    """Kernel PCA of one set, from its Gram matrix alone.
 
     ``coeffs`` are the expansion coefficients of the orthonormal feature-space
-    basis over the centered kernel features of ``samples`` (eigenvectors of
-    the double-centered kernel matrix scaled by 1/sqrt(eigenvalue)).
+    basis over the set's centered kernel features (eigenvectors of the
+    double-centered kernel matrix scaled by 1/sqrt(eigenvalue)).
     """
 
-    samples: np.ndarray
     coeffs: np.ndarray       # (n, q)
-    kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]
     col_means: np.ndarray    # (n,) column means of the uncentered kernel matrix
     grand_mean: float
     eigenvalues: np.ndarray  # (q,), descending Gram eigenvalues
@@ -44,6 +42,15 @@ class KernelSubspace:
     @property
     def q(self) -> int:
         return self.coeffs.shape[1]
+
+
+@dataclass(frozen=True)
+class KernelSubspace(KernelFit):
+    """A :class:`KernelFit` with the samples and kernel it was fitted on, so
+    that it can project new points and pair itself with other subspaces."""
+
+    samples: np.ndarray
+    kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def project(self, X) -> np.ndarray:
         """Coordinates of new points on the feature-space basis, (len(X), q)."""
@@ -131,8 +138,9 @@ def msm_similarity(a, b) -> float:
     return float(cos[0] * cos[0])
 
 
-def gaussian_kernel(sigma: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """k(x, y) = exp(-||x - y||^2 / (2 sigma^2)) as a two-set Gram callable."""
+def gaussian_weights(sigma: float) -> Callable[[np.ndarray], np.ndarray]:
+    """exp(-d2 / (2 sigma^2)) of an array of squared distances d2, as a
+    callable."""
     if not sigma > 0:
         raise ValueError("sigma_kernel must be > 0")
     sigma = float(sigma)
@@ -140,29 +148,37 @@ def gaussian_kernel(sigma: float) -> Callable[[np.ndarray, np.ndarray], np.ndarr
     # kernel of 2^j X with 2^j sigma is no longer bitwise that of X
     s2 = 2.0 * sigma * sigma
 
+    def weights(d2):
+        return np.exp(-d2 / s2)
+
+    return weights
+
+
+def gaussian_kernel(sigma: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """k(x, y) = exp(-||x - y||^2 / (2 sigma^2)) as a two-set Gram callable."""
+    weights = gaussian_weights(sigma)
+
     def kernel(A, B):
         A = np.atleast_2d(np.asarray(A, dtype=float))
         B = np.atleast_2d(np.asarray(B, dtype=float))
-        if A is B or (A.shape == B.shape and np.shares_memory(A, B)):
-            return np.exp(-squareform(pdist(A, "sqeuclidean")) / s2)
-        return np.exp(-cdist(A, B, "sqeuclidean") / s2)
+        # kmsm takes its class Grams from cached pdist values instead:
+        # cdist(A, A) equals squareform(pdist(A)) bit for bit
+        return weights(cdist(A, B, "sqeuclidean"))
 
     return kernel
 
 
-def kpca_subspace(X, q: int, kernel) -> KernelSubspace:
-    """Kernel PCA of one set: eigendecomposition of the double-centered kernel.
+def kpca_gram(K, q: int) -> KernelFit:
+    """Kernel PCA of one set from its n x n Gram matrix ``K``: the
+    eigendecomposition of the double-centered kernel.
 
-    ``kernel`` is a two-set Gram callable such as :func:`gaussian_kernel`.
     Coefficients are scaled by 1/sqrt(eigenvalue) so the mapped basis is
     orthonormal in feature space. A set whose centered kernel matrix has
     fewer than q positive eigenvalues raises :class:`DataError`.
     """
-    X = np.asarray(X, dtype=float)
-    n = X.shape[0]
+    n = K.shape[0]
     if not 1 <= q <= n - 1:
         raise ValueError(f"q must be in 1..{n - 1} for a set of {n} samples, got {q}")
-    K = kernel(X, X)
     col_means = K.mean(axis=0)
     grand = float(K.mean())
     Kc = K - col_means[None, :] - col_means[:, None] + grand
@@ -174,24 +190,29 @@ def kpca_subspace(X, q: int, kernel) -> KernelSubspace:
     if np.any(vals <= floor):
         raise DataError(f"non-positive retained kernel eigenvalue (q={q} too large)")
     coeffs = _fix_signs(vecs) / np.sqrt(vals)[None, :]
-    return KernelSubspace(
-        samples=X,
-        coeffs=coeffs,
-        kernel=kernel,
-        col_means=col_means,
-        grand_mean=grand,
-        eigenvalues=vals,
-    )
+    return KernelFit(coeffs=coeffs, col_means=col_means, grand_mean=grand, eigenvalues=vals)
 
 
-def kernel_principal_angles(a: KernelSubspace, b: KernelSubspace) -> np.ndarray:
-    """Principal angles between two feature-space subspaces via the kernel trick.
+def kpca_subspace(X, q: int, kernel) -> KernelSubspace:
+    """:func:`kpca_gram` of ``kernel(X, X)``, kept with ``X`` and ``kernel``.
+
+    ``kernel`` is a two-set Gram callable such as :func:`gaussian_kernel`.
+    """
+    X = np.asarray(X, dtype=float)
+    fit = kpca_gram(kernel(X, X), q)
+    return KernelSubspace(samples=X, kernel=kernel, **vars(fit))
+
+
+def gram_principal_angles(Kab, a: KernelFit, b: KernelFit) -> np.ndarray:
+    """Principal angles between two feature-space subspaces from their cross
+    kernel block ``Kab`` (rows: a's samples, columns: b's).
 
     The cosines are the singular values of the cross-set coefficient Gram
-    product coeffs_a^T Kc_ab coeffs_b, where Kc_ab is the cross kernel block
-    centered against each set's own feature mean.
+    product coeffs_a^T Kc_ab coeffs_b, where Kc_ab is ``Kab`` centered
+    against each set's own feature mean. numpy's row and column means depend
+    on memory layout, so the same values in another layout can give other
+    bits; the references pass a C-contiguous block.
     """
-    Kab = a.kernel(a.samples, b.samples)
     Kc = (
         Kab
         - Kab.mean(axis=0, keepdims=True)
@@ -203,8 +224,20 @@ def kernel_principal_angles(a: KernelSubspace, b: KernelSubspace) -> np.ndarray:
     return np.arccos(np.clip(svals, 0.0, 1.0))
 
 
-def kmsm_similarity(a: KernelSubspace, b: KernelSubspace) -> float:
-    """The squared largest canonical correlation in feature space."""
-    cos = np.cos(kernel_principal_angles(a, b))
+def gram_kmsm_similarity(Kab, a: KernelFit, b: KernelFit) -> float:
+    """The squared largest canonical correlation in feature space, from the
+    cross kernel block ``Kab`` (see :func:`gram_principal_angles`)."""
+    cos = np.cos(gram_principal_angles(Kab, a, b))
     return float(cos[0] * cos[0])
 
+
+def kernel_principal_angles(a: KernelSubspace, b: KernelSubspace) -> np.ndarray:
+    """:func:`gram_principal_angles` of the cross kernel block of a's and b's
+    samples."""
+    return gram_principal_angles(a.kernel(a.samples, b.samples), a, b)
+
+
+def kmsm_similarity(a: KernelSubspace, b: KernelSubspace) -> float:
+    """:func:`gram_kmsm_similarity` of the cross kernel block of a's and b's
+    samples."""
+    return gram_kmsm_similarity(a.kernel(a.samples, b.samples), a, b)

@@ -19,8 +19,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist, pdist, squareform
 
-from masc import graph
+from masc import evaluate, graph, subspace
 from masc.cli import main
+from masc.data import DataError
 from masc.evaluate import CLASSIFIERS, Decision, make_classifier
 from masc.fixtures import (
     CurvedManifoldConfig,
@@ -46,6 +47,23 @@ from oracles import (
     reference_knn_graph,
     reference_sigma,
 )
+
+
+def filtered_sigma(index, obs, config):
+    """The median sigma from the GEMM estimate of the cross distances, as
+    ``build_knn_graph`` takes it."""
+    obs = np.asarray(obs, dtype=float)
+    return graph._median_sigma(index, index.cross(obs), pdist(obs, "sqeuclidean"), config)
+
+
+def exact_sigma(index, obs, config):
+    """The median sigma from the exact cross block, as kmsm takes it."""
+    obs = np.asarray(obs, dtype=float)
+    return index.sigma(cdist(obs, index.X, "sqeuclidean"), pdist(obs, "sqeuclidean"), config)
+
+
+def both_sigmas(index, obs, config):
+    return filtered_sigma(index, obs, config), exact_sigma(index, obs, config)
 
 
 def assert_same_graph(got, want):
@@ -104,9 +122,9 @@ def test_sigma_matches_reference_bitwise(X, l, config, monkeypatch):
     except ValueError:
         return
     assert estimate_sigma(X, config) == want
-    assert GalleryIndex(X[:l]).sigma(X[l:], config) == want
+    assert both_sigmas(GalleryIndex(X[:l]), X[l:], config) == (want, want)
     monkeypatch.setattr(graph, "_FILTER_MIN_L", 0)
-    assert GalleryIndex(X[:l]).sigma(X[l:], config) == want
+    assert both_sigmas(GalleryIndex(X[:l]), X[l:], config) == (want, want)
 
 
 # -- the GEMM filter ------------------------------------------------------------
@@ -158,7 +176,7 @@ def test_filtered_graph_and_sigma_match_the_references(monkeypatch, name, X, l, 
         index = GalleryIndex(X[:l])
         for _ in range(2):  # cold, then warm
             assert_same_graph(build_knn_graph(X, config, index), want)
-            assert index.sigma(X[l:], config) == want.sigma
+            assert both_sigmas(index, X[l:], config) == (want.sigma, want.sigma)
     if name.startswith("scaled-2^"):  # 2^j X has the weights of X, and 2^j its sigma
         j = int(name[len("scaled-2^"):])
         got = build_knn_graph(X, GraphConfig(k=k), GalleryIndex(X[:l]))
@@ -185,7 +203,7 @@ def test_filter_and_full_block_are_both_reached(full_blocks):
         assert_same_graph(build_knn_graph(X, config, index), reference_knn_graph(X, config))
         assert full_blocks.count((X.shape[0] - l, l)) == blocks
         del full_blocks[:]
-        assert index.sigma(X[l:], config) == reference_sigma(X, config)
+        assert filtered_sigma(index, X[l:], config) == reference_sigma(X, config)
         assert full_blocks.count((X.shape[0] - l, l)) == blocks
 
 
@@ -238,10 +256,11 @@ def assert_sigma(index, X, config):
     try:
         want = reference_sigma(X, config)
     except ValueError as exc:
-        with pytest.raises(ValueError, match=str(exc)):
-            index.sigma(X[index.l:], config)
+        for sigma in (filtered_sigma, exact_sigma):
+            with pytest.raises(ValueError, match=str(exc)):
+                sigma(index, X[index.l:], config)
         return
-    assert index.sigma(X[index.l:], config) == want
+    assert both_sigmas(index, X[index.l:], config) == (want, want)
 
 
 def points(rng, n, d, grid):
@@ -325,9 +344,9 @@ def test_windows_are_bounded_to_the_most_recently_used():
     index = GalleryIndex(rng.normal(size=(30, 2)))
     config = GraphConfig(sigma_sample_cap=20)
     for m in range(1, 13):
-        index.sigma(rng.normal(size=(m, 2)), config)
-    index.sigma(rng.normal(size=(5, 2)), config)  # a hit moves m = 5 to the end
-    index.sigma(rng.normal(size=(13, 2)), config)  # and evicts m = 6, not 5
+        exact_sigma(index, rng.normal(size=(m, 2)), config)
+    exact_sigma(index, rng.normal(size=(5, 2)), config)  # a hit moves m = 5 to the end
+    filtered_sigma(index, rng.normal(size=(13, 2)), config)  # and evicts m = 6, not 5
     kept = [n - 30 for n, _, _ in index._windows]
     assert kept == [7, 8, 9, 10, 11, 12, 5, 13][-_WINDOWS:]
 
@@ -344,7 +363,8 @@ def test_threads_sharing_windows_get_the_reference_sigma():
     def worker(offset):
         for i in range(3 * len(queries)):
             q = (i * 5 + offset) % len(queries)
-            if index.sigma(queries[q], config) != want[q]:
+            sigma = (filtered_sigma, exact_sigma)[i % 2]
+            if sigma(index, queries[q], config) != want[q]:
                 wrong.append(q)
 
     interval = sys.getswitchinterval()
@@ -430,9 +450,11 @@ def _decision(scores, minimise, shown=None):
                     scores.count(best) > 1)
 
 
-def reference_decision(name, train_sets, obs, k=5, q=9):
+def reference_decision(name, train_sets, obs, k=5, q=9, sigma_kernel=None):
     """The classifier's decision with nothing reused: the dense graph, the
-    old closed-form LP expression, and fresh fits per call."""
+    old closed-form LP expression, and fresh fits per call, with msm's rank
+    and dimension caps (see ``make_classifier``) taken from numpy's
+    ``matrix_rank``."""
     sets = [np.asarray(ts, dtype=float) for ts in train_sets]
     obs = np.asarray(obs, dtype=float)
     c, m = len(sets), obs.shape[0]
@@ -459,10 +481,19 @@ def reference_decision(name, train_sets, obs, k=5, q=9):
     smallest = min(min(ts.shape[0] for ts in sets), m)
     q_eff = max(1, min(q, smallest - 1, obs.shape[1]))
     if name == "msm":
-        test = pca_subspace(obs, q_eff)
-        sims = [msm_similarity(pca_subspace(ts, q_eff), test) for ts in sets]
+        def rank(xs):
+            return np.linalg.matrix_rank(xs - xs.mean(axis=0))
+
+        d = obs.shape[1]
+        q_test = max(1, min(q_eff, rank(obs), d - 1))
+        test = pca_subspace(obs, q_test)
+        sims = [msm_similarity(pca_subspace(ts, min(q_eff, rank(ts), max(1, d - q_test))), test)
+                for ts in sets]
     else:
-        kernel = gaussian_kernel(reference_sigma(np.vstack(sets + [obs]), config))
+        sigma = sigma_kernel
+        if sigma is None:
+            sigma = reference_sigma(np.vstack(sets + [obs]), config)
+        kernel = gaussian_kernel(sigma)
         test = kpca_subspace(obs, q_eff, kernel=kernel)
         sims = [kmsm_similarity(kpca_subspace(ts, q_eff, kernel=kernel), test) for ts in sets]
     return _decision(sims, False)
@@ -593,3 +624,89 @@ def test_threads_sharing_the_cache_get_their_own_gallerys_results():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+
+
+# -- kmsm's one distance block ----------------------------------------------
+
+def uneven_query(seed, sizes, m, d=6):
+    """Class sets of the given sizes around their own centres, and m
+    observations around the second class's centre."""
+    rng = np.random.default_rng(seed)
+    centres = 3.0 * rng.normal(size=(len(sizes), d))
+    sets = [rng.normal(size=(n, d)) + centre for n, centre in zip(sizes, centres)]
+    return sets, rng.normal(size=(m, d)) + centres[1]
+
+
+# gallery sizes 80, 222 and 218: below and above the GEMM filter's crossover,
+# which kmsm's sigma no longer takes but the graph methods still do
+@pytest.mark.parametrize("sizes", [(2, 7, 40, 31), (9, 2, 150, 61), (5, 120, 3, 90)],
+                         ids=["l=80", "l=222", "l=218"])
+@pytest.mark.parametrize("sigma_kernel", [None, 1.7])
+def test_kmsm_on_uneven_classes_matches_the_reference_bitwise(sizes, sigma_kernel):
+    assert graph._FILTER_MIN_L == 200
+    classify = make_classifier("kmsm", q=3, sigma_kernel=sigma_kernel)
+    for m in (3, 12, 40):
+        sets, obs = uneven_query(m, sizes, m)
+        want = reference_decision("kmsm", sets, obs, q=3, sigma_kernel=sigma_kernel)
+        classify([ts + 0.5 for ts in sets], obs)  # evicts sets: the next call is cold
+        for got in (classify(sets, obs), classify(sets, obs)):
+            assert same_decision(got, want), (sizes, m)
+
+
+def random_set(rng, n, d, duplicates):
+    """n rows in d dimensions, at least two of them distinct; with
+    ``duplicates`` they repeat about half as many distinct rows."""
+    if not duplicates:
+        return rng.normal(size=(n, d))
+    base = rng.normal(size=(max(2, (n + 1) // 2), d))
+    return base[rng.permutation(np.r_[0, 1, rng.integers(0, len(base), size=n - 2)])]
+
+
+@given(seed=st.integers(0, 2**32 - 1), sizes=st.lists(st.integers(2, 12), min_size=2, max_size=4),
+       m=st.integers(2, 15), d=st.integers(1, 6), q=st.integers(1, 4),
+       duplicates=st.booleans(), sigma_kernel=st.sampled_from([None, 0.7, 3.0]))
+@settings(max_examples=80, deadline=None)
+def test_msm_and_kmsm_match_their_references_on_random_galleries(seed, sizes, m, d, q,
+                                                                 duplicates, sigma_kernel):
+    rng = np.random.default_rng(seed)
+    sets = [random_set(rng, n, d, duplicates) for n in sizes]
+    obs = random_set(rng, m, d, duplicates)
+    for name in ("msm", "kmsm"):
+        classify = make_classifier(name, q=q, sigma_kernel=sigma_kernel)
+        try:
+            want = reference_decision(name, sets, obs, q=q, sigma_kernel=sigma_kernel)
+        except ValueError:  # a zero median or a kernel matrix too thin for q
+            with pytest.raises(DataError):
+                classify(sets, obs)
+            continue
+        try:
+            classify([ts + 0.5 for ts in sets], obs)  # evicts sets: the next call is cold
+        except DataError:
+            pass
+        for got in (classify(sets, obs), classify(sets, obs)):
+            assert same_decision(got, want), name
+
+
+def test_a_warm_kmsm_query_computes_each_distance_once(monkeypatch):
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            calls.append((name, out.shape))
+            return out
+        return wrapped
+
+    for module in (graph, evaluate, subspace):
+        for name in ("cdist", "pdist"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    sets, obs = uneven_query(0, (80, 90, 70), 12)  # l = 240, above the filter's crossover
+    classify = make_classifier("kmsm")
+    classify(sets, obs)  # cold: the sigma window and the class distances
+    del calls[:]
+    for shift in (0.0, 0.25):
+        classify(sets, obs + shift)
+        # one m x l block and the observations' own distances, nothing else
+        assert calls == [("cdist", (12, 240)), ("pdist", (66,))]
+        del calls[:]

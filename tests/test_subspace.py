@@ -4,10 +4,18 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from masc.data import DataError
 from masc.evaluate import CLASSIFIERS, make_classifier
+from scipy.spatial.distance import cdist, pdist, squareform
+
 from masc.subspace import (
     gaussian_kernel,
+    gaussian_weights,
+    gram_kmsm_similarity,
+    gram_principal_angles,
     kernel_principal_angles,
+    kmsm_similarity,
+    kpca_gram,
     kpca_subspace,
     msm_similarity,
     pca_subspace,
@@ -184,6 +192,25 @@ class TestKernelMatrix:
         assert scaled.tobytes() == K.tobytes()
 
 
+    def test_overlapping_views_of_one_buffer(self):
+        # two same-shape views that share memory but hold different rows
+        X = np.random.default_rng(15).normal(size=(6, 3))
+        K = gaussian_kernel(1.0)(X[0:5], X[1:6])
+        assert K.tobytes() == gaussian_kernel(1.0)(X[0:5].copy(), X[1:6].copy()).tobytes()
+        loops = [[math.exp(-float(np.sum((a - b) ** 2)) / 2.0) for b in X[1:6]] for a in X[0:5]]
+        np.testing.assert_allclose(K, loops, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("d", [1, 5, 256, 257])
+    def test_cdist_of_a_set_with_itself_is_its_pdist(self, d):
+        # the kernel of one set with itself takes cdist, kmsm's class Grams
+        # the cached pdist: the two must give the same bits
+        rng = np.random.default_rng(d)
+        for n in (2, 3, 17, 100, 151):
+            A = rng.normal(size=(n, d)) * 7.3 + 1e3
+            assert cdist(A, A, "sqeuclidean").tobytes() == \
+                squareform(pdist(A, "sqeuclidean")).tobytes()
+
+
 class TestKpca:
     def test_feature_basis_orthonormal(self):
         rng = np.random.default_rng(14)
@@ -254,6 +281,48 @@ class TestKmsm:
             kmsm_dec = decide("kmsm", sets, test, q=3, sigma_kernel=1e3)
             agree += int(msm_dec == kmsm_dec)
         assert agree == 20
+
+
+class TestGramCores:
+    """kmsm's hot path fits and pairs subspaces from distance blocks; the
+    results must be those of the sample-and-kernel references bit for bit."""
+
+    def test_fit_and_similarity_equal_the_references(self):
+        rng = np.random.default_rng(21)
+        for n, m, d, q, sigma in ((12, 9, 4, 3, 1.3), (40, 25, 256, 9, 6.0), (2, 5, 3, 1, 0.8)):
+            X, obs = rng.normal(size=(n, d)), rng.normal(size=(m, d)) + 0.3
+            kernel, weights = gaussian_kernel(sigma), gaussian_weights(sigma)
+            a, b = kpca_subspace(X, q, kernel), kpca_subspace(obs, q, kernel)
+            fa = kpca_gram(weights(squareform(pdist(X, "sqeuclidean"))), q)
+            fb = kpca_gram(weights(squareform(pdist(obs, "sqeuclidean"))), q)
+            for got, want in ((fa, a), (fb, b)):
+                assert got.coeffs.tobytes() == want.coeffs.tobytes()
+                assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+                assert got.col_means.tobytes() == want.col_means.tobytes()
+                assert got.grand_mean == want.grand_mean
+            Kab = weights(np.ascontiguousarray(cdist(obs, X, "sqeuclidean").T))
+            assert gram_principal_angles(Kab, fa, fb).tobytes() == \
+                kernel_principal_angles(a, b).tobytes()
+            assert gram_kmsm_similarity(Kab, fa, fb) == kmsm_similarity(a, b)
+
+    @pytest.mark.parametrize("d", [1, 5, 256, 257])
+    def test_transposed_slices_of_one_block_are_the_class_blocks(self, d):
+        rng = np.random.default_rng(22 + d)
+        sizes = (2, 9, 30, 1, 17)
+        X = rng.normal(size=(sum(sizes), d)) * 4.1 - 50.0
+        obs = rng.normal(size=(13, d)) * 4.1 - 49.0
+        C = cdist(obs, X, "sqeuclidean")
+        a = 0
+        for n in sizes:
+            block = np.ascontiguousarray(C[:, a:a + n].T)
+            assert block.tobytes() == cdist(X[a:a + n], obs, "sqeuclidean").tobytes()
+            a += n
+
+    def test_too_thin_a_gram_is_a_data_error(self):
+        X = np.repeat(np.random.default_rng(23).normal(size=(2, 3)), 3, axis=0)
+        K = gaussian_weights(1.0)(squareform(pdist(X, "sqeuclidean")))
+        with pytest.raises(DataError, match="non-positive retained kernel eigenvalue"):
+            kpca_gram(K, 2)
 
 
 @pytest.mark.parametrize("name", CLASSIFIERS)
