@@ -87,7 +87,7 @@ def _parse_sigma(value, name: str):
             return float(value)
         except ValueError:
             raise ConfigError(f"{name} must be 'median' or a number, got {value!r}") from None
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     raise ConfigError(f"{name} must be 'median' or a number, got {value!r}")
 
@@ -101,18 +101,29 @@ def _parse_m_values(value):
             raise ConfigError(f"m-values must be comma-separated integers, got {value!r}") from None
     if isinstance(value, (list, tuple)):
         try:
+            if any(_rounds(v, int) for v in value):
+                raise ValueError
             return tuple(int(v) for v in value)
         except (TypeError, ValueError):
             raise ConfigError(f"m-values must be integers, got {value!r}") from None
     raise ConfigError(f"m-values must be a list of integers, got {value!r}")
 
 
+def _rounds(value, kind) -> bool:
+    """Whether ``kind(value)`` would run with another value than the config
+    file holds: a boolean read as 0 or 1, or a fraction cut off an int."""
+    return isinstance(value, bool) or (
+        kind is int and isinstance(value, float) and not value.is_integer())
+
+
 def _coerce(name: str, value, kind):
     if value is None:
         return None
     try:
+        if _rounds(value, kind):
+            raise ValueError
         return kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name} must be of type {kind.__name__}, got {value!r}") from None
 
 
@@ -123,7 +134,9 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     if path:
         try:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except OSError as exc:  # missing, a directory, unreadable
+            raise ConfigError(f"config file {path}: {exc.strerror or exc}") from None
+        except ValueError as exc:  # not UTF-8 or not JSON
             raise ConfigError(f"config file {path}: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {path}: expected a JSON object")
@@ -382,7 +395,7 @@ def main(argv=None) -> int:
     try:
         cfg = build_config(args)
         return args.func(cfg, args)
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, FileNotFoundError) as exc:  # the latter from writing --out
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:  # ConfigError among them

@@ -147,7 +147,12 @@ def _parse_tag(fields, lineno):
 def _read_rows(path):
     """Header values (d, c) of a CSV file and an iterator over its non-blank
     rows as (line number, integer tag, fields)."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    except OSError as exc:  # missing, a directory, unreadable: the message names the path
+        raise DataError(str(exc)) from None
     if not lines:
         raise ParseError(f"{path}: empty file")
     match = _HEADER_RE.match(lines[0].strip())

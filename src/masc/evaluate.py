@@ -58,18 +58,19 @@ def resolve_threads(threads: int | None = None) -> int:
     return threads
 
 
-def _check_sets(train_sets, observations, min_rows: int = 1):
-    """Float arrays of the class sets and observations, or DataError.
+def _check_sets(sets, obs, min_rows: int = 1, scan_classes: bool = True) -> None:
+    """Raise DataError unless the float arrays ``sets`` and ``obs`` make a
+    query.
 
     ``min_rows`` is the fewest samples a set may have: the classifiers that
-    fit a subspace or a covariance to every set need two.
+    fit a subspace or a covariance to every set need two. Without
+    ``scan_classes`` the class sets are not scanned for non-finite values,
+    for a caller that already knows them equal to sets that were.
     """
-    sets = [np.asarray(ts, dtype=float) for ts in train_sets]
-    obs = np.asarray(observations, dtype=float)
     if not sets:
         raise DataError("no classes given")
-    named = [(f"class {p}", ts) for p, ts in enumerate(sets, start=1)]
-    for what, xs in named + [("observation set", obs)]:
+    named = [(f"class {p}", ts, scan_classes) for p, ts in enumerate(sets, start=1)]
+    for what, xs, scan in named + [("observation set", obs, True)]:
         if xs.ndim != 2:
             raise DataError(f"{what} must be a 2-D (samples, features) array, got {xs.ndim}-D")
         if xs.shape[0] < 1:
@@ -78,13 +79,12 @@ def _check_sets(train_sets, observations, min_rows: int = 1):
             raise DataError(f"{what} needs at least {min_rows} samples, has {xs.shape[0]}")
         if xs.shape[1] < 1:
             raise DataError(f"{what} has no features")
-        if not np.isfinite(xs).all():
+        if scan and not np.isfinite(xs).all():
             raise DataError(f"{what} has a non-finite value")
     d = obs.shape[1]
-    for what, ts in named:
+    for what, ts, _ in named:
         if ts.shape[1] != d:
             raise DataError(f"{what} dimension {ts.shape[1]} != {d}")
-    return sets, obs
 
 
 def _all_identical(xs) -> bool:
@@ -159,20 +159,25 @@ class _LatestGallery:
     classifiers of one protocol reuse one gallery's work. A query finds the
     slot's gallery only if its class sets have the same shapes and values,
     compared against the slot's own copy, so changing an array in place
-    between calls can never return stale fits.
+    between calls can never return stale fits. Only class sets that passed
+    :func:`_check_sets` are stored, so the slot never holds a NaN or an inf.
     """
 
     def __init__(self):
         self._gallery = None
         self._lock = threading.Lock()
 
-    def lookup(self, sets) -> _Gallery:
+    def find(self, sets) -> _Gallery | None:
+        """The slot's gallery if it equals ``sets``, else None."""
         with self._lock:
             gallery = self._gallery
-        if gallery is None or not gallery.matches(sets):
-            gallery = _Gallery(sets)
-            with self._lock:
-                self._gallery = gallery
+        return gallery if gallery is not None and gallery.matches(sets) else None
+
+    def store(self, sets) -> _Gallery:
+        """A new gallery of the checked ``sets``, now in the slot."""
+        gallery = _Gallery(sets)
+        with self._lock:
+            self._gallery = gallery
         return gallery
 
 
@@ -182,12 +187,24 @@ _LATEST = _LatestGallery()
 def _query(train_sets, observations, fits_sets: bool = False):
     """The gallery of the class sets and the observations, both checked.
 
+    The class sets are looked up in the slot before they are checked. On a
+    miss they get every check and only then are stored. On a hit they equal
+    the stored copy, which holds only finite values, and ``np.array_equal``
+    is False wherever a NaN sits, so they are not scanned again: a hit
+    checks only what can differ from the stored gallery, that is the
+    observations, the class sizes against ``min_rows`` and the dimension.
+    Either way the first failing check and its message are the same.
+
     ``fits_sets`` marks the classifiers that fit a subspace or a Gaussian
     to every set, which needs two samples that differ. The class sets are
     scanned for that once per gallery, the observations on every query.
     """
-    sets, obs = _check_sets(train_sets, observations, min_rows=2 if fits_sets else 1)
-    gallery = _LATEST.lookup(sets)
+    sets = [np.asarray(ts, dtype=float) for ts in train_sets]
+    obs = np.asarray(observations, dtype=float)
+    gallery = _LATEST.find(sets)
+    _check_sets(sets, obs, min_rows=2 if fits_sets else 1, scan_classes=gallery is None)
+    if gallery is None:
+        gallery = _LATEST.store(sets)
     if fits_sets:
         p = gallery.constant_class()
         if p is not None or _all_identical(obs):

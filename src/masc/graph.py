@@ -91,13 +91,16 @@ class GalleryIndex:
     use of each k, the sigma windows on first use of each sample size and
     the rows centred on their mean (for :meth:`cross`'s estimate) on the
     first query; no l x l distance block is kept. ``X`` is used as given and
-    must not change while the index lives.
+    must not change while the index lives. Its rows are checked for
+    non-finite values here, once, so no query scans them again.
     """
 
     def __init__(self, X):
         X = np.asarray(X, dtype=float)
         if X.ndim != 2:
             raise ValueError("X must be a 2-D (n, d) array")
+        if not np.isfinite(X).all():
+            raise ValueError("X has a non-finite value")
         self.X = X
         self._lists: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._windows: dict[tuple[int, int, int], _SigmaWindow] = {}
@@ -390,7 +393,8 @@ def build_knn_graph(X, config: GraphConfig = GraphConfig(),
     endpoint selects the other.
 
     ``gallery`` indexes the leading rows of ``X``; only the distances from
-    the remaining m rows are decided here. A labelled row's k nearest nodes
+    the remaining m rows are decided here, and only those rows are checked
+    for non-finite values (the index checked its own). A labelled row's k nearest nodes
     are its cached labelled neighbours merged with the closer observations:
     the observations come after every labelled row, so a tie still goes to
     the smaller index and the graph equals a full rebuild exactly. Without
@@ -414,14 +418,17 @@ def build_knn_graph(X, config: GraphConfig = GraphConfig(),
     k = config.k
     if n < k + 1:
         raise ValueError(f"need at least k+1={k + 1} samples, got {n}")
-    if not np.isfinite(X).all():
-        raise ValueError("X has a non-finite value")
     if gallery is None:
         gallery = GalleryIndex(X)
     elif not np.array_equal(X[:gallery.l], gallery.X):
+        # the index holds finite rows only, so a non-finite row fails here
+        if not np.isfinite(X).all():
+            raise ValueError("X has a non-finite value")
         raise ValueError("X must start with the gallery's rows")
     l, m = gallery.l, n - gallery.l
     obs = X[l:]
+    if not np.isfinite(obs).all():  # the index checked the gallery's rows
+        raise ValueError("X has a non-finite value")
     cross = gallery.cross(obs)
     Pc = pdist(obs, "sqeuclidean")
     P = squareform(Pc) if m else np.empty((0, 0))

@@ -56,6 +56,21 @@ class TestClassify:
         code, _, _ = run(capsys, "classify", "--input", "/nonexistent.csv")
         assert code == 3
 
+    def test_directory_as_input_is_data_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "classify", "--input", str(tmp_path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and str(tmp_path) in err
+        assert "Traceback" not in err
+
+    def test_input_that_is_not_utf8_is_data_error(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes("#d=1,c=1\n1,0.5\n0,0.5 # caf\u00e9\n".encode("latin-1"))
+        code, out, err = run(capsys, "classify", "--input", str(bad))
+        assert code == 3
+        assert out == ""
+        assert f"{bad}: not UTF-8 text" in err
+
     def test_malformed_file_is_data_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("#d=2,c=1\n1,0.5\n0,1.0,2.0\n", encoding="utf-8")
@@ -191,6 +206,48 @@ class TestConfigFile:
         assert "unknown config field" in err
 
 
+    def test_missing_config_file_is_config_error(self, capsys, blob_csv, tmp_path):
+        path = tmp_path / "absent.json"
+        code, out, err = run(capsys, "classify", "--config", str(path), "--input", blob_csv)
+        assert code == 2
+        assert out == ""
+        assert f"config file {path}: No such file or directory" in err
+
+    def test_directory_as_config_file_is_config_error(self, capsys, blob_csv, tmp_path):
+        code, out, err = run(capsys, "classify", "--config", str(tmp_path), "--input", blob_csv)
+        assert code == 2
+        assert out == ""
+        assert f"config file {tmp_path}: " in err
+
+    @pytest.mark.parametrize("field,value", [
+        ("k", 2.9), ("k", True), ("seed", 1.7), ("q", 1.5), ("r", True), ("trials", 2.5),
+        ("sigma_sample_cap", 100.5), ("k", float("inf")), ("m_values", [1.5]),
+        ("m_values", [True]), ("mu", True), ("energy_cutoff", False), ("sigma", True),
+        ("sigma_kernel", True),
+    ])
+    def test_config_values_are_not_rounded(self, capsys, blob_csv, tmp_path, field, value):
+        # a value the run would change (2.9 -> 2, true -> 1) is refused
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field: value}), encoding="utf-8")
+        code, out, err = run(capsys, "classify", "--config", str(cfg), "--input", blob_csv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("field,value,flag", [
+        ("k", 3.0, ["--k", "3"]), ("seed", 2.0, ["--seed", "2"]),
+        ("m_values", [4.0], ["--m-values", "4"]), ("mu", 2, ["--mu", "2"]),
+    ])
+    def test_integral_numbers_run_as_the_flag(self, capsys, blob_csv, tmp_path, field, value,
+                                              flag):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field: value, "classifier": "lp"}), encoding="utf-8")
+        code, out, _ = run(capsys, "classify", "--config", str(cfg), "--input", blob_csv)
+        assert code == 0
+        assert (code, out) == run(capsys, "classify", "--classifier", "lp", *flag,
+                                  "--input", blob_csv)[:2]
+
+
 class TestSweep:
     def test_deterministic_csv(self, capsys):
         argv = ("sweep", "--fixture", "rotated-rasters", "--classes", "3",
@@ -260,6 +317,13 @@ class TestSessions:
         files = self.make_session_files(tmp_path, seeds=(7,))
         code, _, _ = run(capsys, "sessions", files[0])
         assert code == 2
+
+    def test_directory_as_gallery_is_a_data_error(self, capsys, tmp_path):
+        files = self.make_session_files(tmp_path, seeds=(9,))
+        code, out, err = run(capsys, "sessions", files[0], str(tmp_path))
+        assert code == 3
+        assert out == ""
+        assert str(tmp_path) in err
 
     def test_class_count_mismatch_is_a_data_error(self, capsys, tmp_path):
         three = self.make_session_files(tmp_path, seeds=(8,))[0]

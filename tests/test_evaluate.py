@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from masc import graph, labelprop
 from masc.data import DataError
 from masc.evaluate import (
     CLASSIFIERS,
@@ -155,6 +158,24 @@ class TestSessionProtocols:
             random_split_errors(gallery, make_classifier("kld"), 5, 1, 0)
 
 
+_CLEAN = [np.random.default_rng(0).normal(size=(6, 3)) + 4.0 * p for p in range(3)]
+
+
+def _prime_slot(train, warm):
+    """Leave the gallery slot cold for ``train``, or warm: holding ``train``
+    after a good masc query, or, where ``train`` itself fails the checks,
+    the clean sets of the same shapes that ``_bad_inputs`` spoils."""
+    rng = np.random.default_rng(5)
+    masc = make_classifier("masc", k=3)
+    if not warm:
+        masc([rng.normal(size=(5, 3)) for _ in range(2)], rng.normal(size=(4, 3)))
+        return
+    try:
+        masc(train, rng.normal(size=(6, 3)))
+    except DataError:
+        masc(_CLEAN, rng.normal(size=(6, 3)))
+
+
 def _bad_inputs():
     rng = np.random.default_rng(0)
     train = [rng.normal(size=(6, 3)) + 4.0 * p for p in range(3)]
@@ -164,24 +185,43 @@ def _bad_inputs():
         for bad in (np.nan, np.inf):
             t, o = [ts.copy() for ts in train], obs.copy()
             (t[1] if where == "gallery" else o)[2, 1] = bad
-            cases.append(pytest.param(t, o, "non-finite", id=f"{bad}-in-{where}"))
+            what = "class 2" if where == "gallery" else "observation set"
+            cases.append(pytest.param(t, o, f"{what} has a non-finite value",
+                                      id=f"{bad}-in-{where}"))
+    nan_class_3 = [ts.copy() for ts in train]
+    nan_class_3[2][0, 0] = np.nan
+    nan_obs = obs.copy()
+    nan_obs[0, 0] = np.nan
+    two_d = "must be a 2-D (samples, features) array, got 1-D"
     cases += [
-        pytest.param(train, obs[0], "2-D", id="1-D-observations"),
-        pytest.param([train[0][0]] + train[1:], obs, "2-D", id="1-D-class-set"),
-        pytest.param(train, np.empty((0, 3)), "no samples", id="empty-observations"),
-        pytest.param([train[0], np.empty((0, 3)), train[2]], obs, "no samples", id="empty-class-set"),
-        pytest.param([ts[:, :0] for ts in train], obs[:, :0], "no features", id="no-features"),
-        pytest.param([], obs, "no classes", id="no-classes"),
-        pytest.param(train, obs[:, :2], "dimension", id="dimension-mismatch"),
+        pytest.param(train, obs[0], f"observation set {two_d}", id="1-D-observations"),
+        pytest.param([train[0][0]] + train[1:], obs, f"class 1 {two_d}", id="1-D-class-set"),
+        pytest.param(train, np.empty((0, 3)), "observation set has no samples",
+                     id="empty-observations"),
+        pytest.param([train[0], np.empty((0, 3)), train[2]], obs, "class 2 has no samples",
+                     id="empty-class-set"),
+        pytest.param([ts[:, :0] for ts in train], obs[:, :0], "class 1 has no features",
+                     id="no-features"),
+        pytest.param([], obs, "no classes given", id="no-classes"),
+        pytest.param(train, obs[:, :2], "class 1 dimension 3 != 2", id="dimension-mismatch"),
+        # which check fails first: the classes before the observations, and
+        # every set's own checks before the dimensions
+        pytest.param(nan_class_3, obs[0], "class 3 has a non-finite value",
+                     id="non-finite-class-before-1-D-observations"),
+        pytest.param(train, nan_obs[:, :2], "observation set has a non-finite value",
+                     id="non-finite-observations-before-dimension"),
     ]
     return cases
 
 
 @pytest.mark.parametrize("name", CLASSIFIERS)
-@pytest.mark.parametrize("train,obs,match", _bad_inputs())
-def test_bad_inputs_are_data_errors(name, train, obs, match):
-    with pytest.raises(DataError, match=match):
-        make_classifier(name, k=3, q=2)(train, obs)
+@pytest.mark.parametrize("train,obs,message", _bad_inputs())
+def test_bad_inputs_are_data_errors(name, train, obs, message):
+    classify = make_classifier(name, k=3, q=2)
+    for warm in (False, True):
+        _prime_slot(train, warm)
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            classify(train, obs)
 
 
 def _one_row_inputs():
@@ -189,11 +229,16 @@ def _one_row_inputs():
     train = [rng.normal(size=(6, 3)) + 4.0 * p for p in range(3)]
     obs = rng.normal(size=(6, 3)) + 4.0
     same = np.repeat(obs[:1], 6, axis=0)
-    one_row, no_spread = "needs at least 2 samples, has 1", "has no spread"
+    inf_obs = obs.copy()
+    inf_obs[1, 2] = np.inf
+    one_row = "needs at least 2 samples, has 1"
+    no_spread = "has no spread: all its samples are identical"
     return [
         pytest.param(train, obs[:1], f"observation set {one_row}", id="one-row-observations"),
         pytest.param([train[0], train[1][:1], train[2]], obs, f"class 2 {one_row}",
                      id="one-row-class-set"),
+        pytest.param([train[0], train[1][:1], train[2]], inf_obs, f"class 2 {one_row}",
+                     id="one-row-class-set-before-non-finite-observations"),
         pytest.param(train, same, f"observation set {no_spread}", id="identical-observations"),
         pytest.param([train[0], same + 4.0, train[2]], obs, f"class 2 {no_spread}",
                      id="identical-class-set"),
@@ -203,12 +248,20 @@ def _one_row_inputs():
 @pytest.mark.parametrize("train,obs,message", _one_row_inputs())
 @pytest.mark.parametrize("name", CLASSIFIERS)
 def test_one_row_sets(name, train, obs, message):
+    # warm, the slot holds class sets that masc accepted and cached, which
+    # msm, kmsm and kld must still reject
     classify = make_classifier(name, k=3, q=2)
-    if name in ("masc", "lp"):  # the graph methods need no fit per set
-        assert classify(train, obs).decision in (1, 2, 3)
-        return
-    with pytest.raises(DataError, match=message):
-        classify(train, obs)
+    if name in ("masc", "lp") and np.isfinite(obs).all():
+        message = None  # the graph methods need no fit per set
+    elif name in ("masc", "lp"):
+        message = "observation set has a non-finite value"
+    for warm in (False, True):
+        _prime_slot(train, warm)
+        if message is None:
+            assert classify(train, obs).decision in (1, 2, 3)
+        else:
+            with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+                classify(train, obs)
 
 
 def _two_distinct_rows(where):
@@ -288,6 +341,30 @@ def test_power_of_two_scaling_keeps_scores(fixture, j, seed, m):
             np.testing.assert_allclose(scaled.scores, base.scores, rtol=1e-12, atol=0)
         else:
             assert scaled.scores == base.scores
+
+
+@pytest.mark.parametrize("per_class", [20, 100], ids=["l=60", "l=300"])
+def test_graph_decisions_ignore_the_row_order_within_each_class(per_class):
+    # l = 60 stays below the GEMM filter's and the CG solve's crossovers and
+    # l = 300 (n = 320) is above both. Gaussian rows have no exact distance
+    # ties, so only the order of sums changes with the node numbering
+    m = 20
+    assert 3 * 20 < graph._FILTER_MIN_L <= 3 * 100
+    assert 3 * 20 + m < labelprop._CG_MIN_N <= 3 * 100 + m
+    rng = np.random.default_rng(per_class)
+    centres = 1.5 * rng.normal(size=(3, 8))
+    train = [rng.normal(size=(per_class, 8)) + c for c in centres]
+    queries = [rng.normal(size=(m, 8)) + centres[cls] for cls in (0, 1, 2, 1)]
+    for name in ("masc", "lp"):
+        classify = make_classifier(name)
+        for obs in queries:
+            base = classify(train, obs)
+            for seed in (1, 2):
+                perm = np.random.default_rng(seed)
+                shuffled = [ts[perm.permutation(len(ts))] for ts in train]
+                got = classify(shuffled, obs)
+                assert (got.decision, got.tie) == (base.decision, base.tie), name
+                np.testing.assert_allclose(got.scores, base.scores, rtol=1e-12, atol=0)
 
 
 def test_kld_energy_cutoff_one_on_sets_no_larger_than_d():

@@ -440,6 +440,27 @@ def test_graph_rejects_non_finite_rows():
         build_knn_graph(X, GraphConfig(k=2, sigma=1.0))
 
 
+@pytest.mark.parametrize("row", [2, 9], ids=["gallery-row", "observation-row"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_index_and_graph_reject_non_finite_rows_once_each(row, bad):
+    # the index checks its rows when it is built; the graph then checks only
+    # the rows after them, yet a bad row on either side gives one message
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(12, 2))
+    index = GalleryIndex(X[:8])
+    Y = X.copy()
+    Y[row, 1] = bad
+    with pytest.raises(ValueError, match="^X has a non-finite value$"):
+        build_knn_graph(Y, GraphConfig(k=2), index)
+    if row < 8:
+        with pytest.raises(ValueError, match="^X has a non-finite value$"):
+            GalleryIndex(Y[:8])
+    with pytest.raises(ValueError, match="^X has a non-finite value$"):
+        build_knn_graph(Y, GraphConfig(k=2))
+    with pytest.raises(ValueError, match="^need at least k\\+1=13 samples, got 12$"):
+        build_knn_graph(Y, GraphConfig(k=12))
+
+
 # -- decisions ----------------------------------------------------------------
 
 def _decision(scores, minimise, shown=None):
@@ -580,6 +601,54 @@ def test_gallery_changed_in_place_is_not_served_stale(name):
     want = reference_decision(name, train, obs)
     assert not same_decision(before, want)  # a stale answer would show
     assert same_decision(classify(train, obs), want)
+
+
+@pytest.mark.parametrize("name", CLASSIFIERS)
+def test_a_warm_query_scans_no_gallery_row_for_finiteness(name, monkeypatch):
+    # classes of 7, 9 and 11 rows in d = 5 and 13 observations: no other
+    # array a query scans has the shape of a class set, of the stacked
+    # gallery or of the gallery stacked on the observations
+    sets, obs = uneven_query(3, (7, 9, 11), 13, d=5)
+    gallery_shapes = {(7, 5), (9, 5), (11, 5), (27, 5), (40, 5)}
+    seen = []
+    real = np.isfinite
+
+    def recording(x, *args, **kwargs):
+        seen.append(np.shape(x))
+        return real(x, *args, **kwargs)
+
+    classify = make_classifier(name)
+    classify([ts + 0.5 for ts in sets], obs)  # evicts sets: the next call is cold
+    monkeypatch.setattr(np, "isfinite", recording)
+    cold = classify(sets, obs)
+    assert gallery_shapes & set(seen)
+    for shift in (0.0, 0.25):
+        del seen[:]
+        warm = classify(sets, obs + shift)
+        assert not gallery_shapes & set(seen), seen
+        assert obs.shape in seen  # the observations are still checked
+    assert same_decision(cold, reference_decision(name, sets, obs))
+    assert same_decision(classify(sets, obs), cold)
+    assert same_decision(warm, reference_decision(name, sets, obs + 0.25))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", CLASSIFIERS)
+def test_a_non_finite_gallery_is_rejected_and_never_stored(name, bad):
+    fixture = CurvedManifoldFixture(CurvedManifoldConfig(seed=0))
+    train, obs = fixture.make_instance(2, 20, np.random.default_rng(4))
+    classify = make_classifier(name)
+    want = classify(train, obs)
+    stored = evaluate._LATEST.find(train)
+    assert stored is not None
+    spoiled = [ts.copy() for ts in train]
+    spoiled[2][5, 7] = bad  # the same shapes as the stored sets
+    for _ in range(2):
+        with pytest.raises(DataError, match="^class 3 has a non-finite value$"):
+            classify(spoiled, obs)
+        assert evaluate._LATEST.find(train) is stored
+    assert same_decision(classify(train, obs), want)
+    assert same_decision(want, reference_decision(name, train, obs))
 
 
 @pytest.mark.parametrize("name", CLASSIFIERS)
