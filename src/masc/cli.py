@@ -177,9 +177,14 @@ def _classifier_from(cfg: ExperimentConfig):
 
 
 def _emit(text: str, output: str | None) -> None:
-    sys.stdout.write(text)
+    """Write ``text`` to the file ``output``, if given, and then to stdout,
+    so a run whose file cannot be written prints no payload."""
     if output:
-        Path(output).write_text(text, encoding="utf-8")
+        try:
+            Path(output).write_text(text, encoding="utf-8")
+        except OSError as exc:  # a directory, a missing parent, unwritable
+            raise ConfigError(f"output file {output}: {exc.strerror or exc}") from None
+    sys.stdout.write(text)
 
 
 def _require_input(cfg: ExperimentConfig) -> str:
@@ -395,7 +400,7 @@ def main(argv=None) -> int:
     try:
         cfg = build_config(args)
         return args.func(cfg, args)
-    except (DataError, FileNotFoundError) as exc:  # the latter from writing --out
+    except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:  # ConfigError among them

@@ -120,14 +120,17 @@ class GalleryIndex:
                 # row tiles of about 1 MB: each pair is computed twice, but
                 # no l x l matrix is ever held, and cdist's values equal
                 # pdist's bit for bit
+                j = min(k, self.l - 1)  # a 1-row gallery lists no neighbour
                 step, parts = max(1, _BLOCK // self.l), []
                 for a in range(0, self.l, step):
                     D = cdist(self.X[a:a + step], self.X, "sqeuclidean")
                     rows = np.arange(D.shape[0])
                     D[rows, a + rows] = np.inf  # a row is not its own neighbour
-                    parts.append(_nearest(D, min(k, self.l - 1)))
-                lists = self._lists[k] = (np.concatenate([p[0] for p in parts]),
-                                          np.concatenate([p[1] for p in parts]))
+                    # a row's candidates: its entries up to its j-th smallest
+                    kth = np.partition(D, j - 1, axis=1)[:, j - 1:j] if j else -np.inf
+                    r, c = np.nonzero(D <= kth)
+                    parts.append(_k_smallest(r, c, D[r, c], D.shape[0], j))
+                lists = self._lists[k] = tuple(map(np.concatenate, zip(*parts)))
         return lists
 
     def window(self, m: int, config: GraphConfig) -> _SigmaWindow:
@@ -249,24 +252,22 @@ class _CrossBlock:
         return out
 
 
-def _nearest(D, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Column indices and values of each row's k smallest entries of ``D``,
-    ordered by (value, column)."""
-    if k == 0 or D.shape[0] == 0:
-        return np.empty((D.shape[0], k), dtype=np.intp), np.empty((D.shape[0], k))
-    # k-th smallest per row via partition; rows with ties at the boundary are
-    # trimmed to the smaller columns so the selection is deterministic
-    kth = np.partition(D, k - 1, axis=1)[:, k - 1:k]
-    adj = D <= kth
-    for i in np.flatnonzero(adj.sum(axis=1) != k):
-        cand = np.flatnonzero(adj[i])
-        keep = cand[np.lexsort((cand, D[i, cand]))][:k]
-        adj[i] = False
-        adj[i, keep] = True
-    cols = (np.flatnonzero(adj) % D.shape[1]).reshape(-1, k)
-    vals = np.take_along_axis(D, cols, axis=1)
-    order = np.argsort(vals, axis=1, kind="stable")
-    return np.take_along_axis(cols, order, axis=1), np.take_along_axis(vals, order, axis=1)
+def _k_smallest(rows, cols, vals, nrows: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columns and values of each row's k smallest candidates, the triples
+    (rows[t], cols[t], vals[t]), as (nrows, k) arrays ordered by (value,
+    column).
+
+    Every row below ``nrows`` must hold at least k candidates, in distinct
+    columns. Each caller meets that: a gallery row has l - 1 >= min(k, l - 1)
+    other rows; a merged gallery row holds its k cached neighbours plus at
+    least one observation, or, with a list shorter than k, all n - 1 >= k
+    other nodes; and an observation row has at least k values up to its
+    bound t.
+    """
+    order = np.lexsort((cols, vals, rows))
+    counts = np.bincount(rows, minlength=nrows)
+    keep = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+    return cols[keep], vals[keep]
 
 
 def _middle(size: int) -> tuple[int, int]:
@@ -394,10 +395,12 @@ def build_knn_graph(X, config: GraphConfig = GraphConfig(),
 
     ``gallery`` indexes the leading rows of ``X``; only the distances from
     the remaining m rows are decided here, and only those rows are checked
-    for non-finite values (the index checked its own). A labelled row's k nearest nodes
-    are its cached labelled neighbours merged with the closer observations:
-    the observations come after every labelled row, so a tie still goes to
-    the smaller index and the graph equals a full rebuild exactly. Without
+    for non-finite values (the index checked its own). Every k-NN list,
+    cached or not, is picked by :func:`_k_smallest`, which orders a row's
+    candidates by (distance, index). A labelled row's candidates are its
+    cached labelled neighbours and the strictly closer observations, and an
+    observation row's include every node no farther than its bound t
+    (below), so the graph equals a full rebuild exactly. Without
     ``gallery`` all of ``X`` is indexed first.
 
     The m x l observation-gallery distances come as a GEMM estimate G with
@@ -449,58 +452,34 @@ def build_knn_graph(X, config: GraphConfig = GraphConfig(),
     rows, cols = np.nonzero(need)
     d2 = cross.exact(rows, cols)
 
-    # gallery rows: cached lists merged with any strictly closer observation;
-    # the observations left out are no closer than the k-th, so they would
-    # sort after the whole cached list and are left at inf
+    # gallery rows: a cached list merged with its strictly closer
+    # observations; a list shorter than k takes every observation
     closer = d2 < kth[cols]
     hit = cols[closer]
-    # a list shorter than k takes every observation
     merge = np.flatnonzero(np.bincount(hit, minlength=l)) if full else np.arange(l)
     if merge.size:
-        obs_d2 = np.full((merge.size, m), np.inf)
-        obs_d2[np.searchsorted(merge, hit), rows[closer]] = d2[closer]
-        cand = np.hstack([heads[merge], np.broadcast_to(l + np.arange(m), (merge.size, m))])
-        cand_d2 = np.hstack([head_d2[merge], obs_d2])
-        # cached lists are in (distance, index) order and every observation
-        # index is larger, so a stable sort keeps the index tie-break
-        order = np.argsort(cand_d2, axis=1, kind="stable")[:, :k]
-        merged = np.take_along_axis(cand, order, axis=1)
-        merged_d2 = np.take_along_axis(cand_d2, order, axis=1)
+        merged = _k_smallest(
+            np.concatenate([np.repeat(np.arange(merge.size), heads.shape[1]),
+                            np.searchsorted(merge, hit)]),
+            np.concatenate([heads[merge].ravel(), l + rows[closer]]),
+            np.concatenate([head_d2[merge].ravel(), d2[closer]]), merge.size, k)
         if full:
             heads, head_d2 = heads.copy(), head_d2.copy()
-            heads[merge], head_d2[merge] = merged, merged_d2
+            heads[merge], head_d2[merge] = merged
         else:
-            heads, head_d2 = merged, merged_d2
+            heads, head_d2 = merged
     # observation rows: their k nearest nodes lie among the recomputed
-    # gallery columns and the observations no farther than t, laid out row
-    # by row in column order; the inf padding after a row is never taken,
-    # as a padded row has a finite t and k values up to it
+    # gallery columns and the observations no farther than t
     prow, pcol = np.nonzero(P <= t)
-    order = np.argsort(np.concatenate([rows, prow]), kind="stable")
-    rows = np.concatenate([rows, prow])[order]
-    cols = np.concatenate([cols, l + pcol])[order]
-    d2 = np.concatenate([d2, P[prow, pcol]])[order]
-    counts = np.bincount(rows, minlength=m)
-    pos = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    D = np.full((m, counts.max(initial=0)), np.inf)
-    D[rows, pos] = d2
-    node = np.zeros(D.shape, dtype=np.intp)
-    node[rows, pos] = cols
-    near, tail_d2 = _nearest(D, k)
-    tails = node[np.arange(m)[:, None], near]
+    tails, tail_d2 = _k_smallest(np.concatenate([rows, prow]), np.concatenate([cols, l + pcol]),
+                                 np.concatenate([d2, P[prow, pcol]]), m, k)
 
-    # keep (i, j) if either endpoint selected the other, in row-major order
+    # keep (i, j) if either endpoint selected the other; both directions of
+    # an edge carry the same distance, so either copy will do
     src = np.repeat(np.arange(n), k)
     dst = np.concatenate([heads.ravel(), tails.ravel()])
-    keys = np.concatenate([src * n + dst, dst * n + src])
-    d2 = np.concatenate([head_d2.ravel(), tail_d2.ravel()])
-    # both directions of an edge carry the same distance, so any sort will do
-    order = np.argsort(keys)
-    keys, d2 = keys[order], np.concatenate([d2, d2])[order]
-    first = np.empty(keys.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    keys, d2 = keys[first], d2[first]
+    keys, first = np.unique(np.concatenate([src * n + dst, dst * n + src]), return_index=True)
+    d2 = np.tile(np.concatenate([head_d2.ravel(), tail_d2.ravel()]), 2)[first]
     # the keys are sorted row-major, so they are H's CSR layout as they stand
     indptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])

@@ -187,6 +187,15 @@ class TestClassify:
         assert code == 0
         assert out_path.read_text(encoding="utf-8") == out
 
+    @pytest.mark.parametrize("where", ["directory", "missing-parent"])
+    def test_unwritable_output_file_is_config_error(self, capsys, blob_csv, tmp_path, where):
+        out_path = tmp_path if where == "directory" else tmp_path / "nodir" / "x.json"
+        code, out, err = run(capsys, "classify", "--input", blob_csv, "--out", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: output file {out_path}: ")
+        assert "Traceback" not in err
+
 
 class TestConfigFile:
     def test_flags_override_file(self, capsys, blob_csv, tmp_path):

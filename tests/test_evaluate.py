@@ -343,6 +343,15 @@ def test_power_of_two_scaling_keeps_scores(fixture, j, seed, m):
             assert scaled.scores == base.scores
 
 
+def _gaussian_queries(per_class):
+    """Three Gaussian classes of ``per_class`` rows in d = 8 and four
+    20-row queries drawn around their centres."""
+    rng = np.random.default_rng(per_class)
+    centres = 1.5 * rng.normal(size=(3, 8))
+    train = [rng.normal(size=(per_class, 8)) + c for c in centres]
+    return train, [rng.normal(size=(20, 8)) + centres[cls] for cls in (0, 1, 2, 1)]
+
+
 @pytest.mark.parametrize("per_class", [20, 100], ids=["l=60", "l=300"])
 def test_graph_decisions_ignore_the_row_order_within_each_class(per_class):
     # l = 60 stays below the GEMM filter's and the CG solve's crossovers and
@@ -351,10 +360,7 @@ def test_graph_decisions_ignore_the_row_order_within_each_class(per_class):
     m = 20
     assert 3 * 20 < graph._FILTER_MIN_L <= 3 * 100
     assert 3 * 20 + m < labelprop._CG_MIN_N <= 3 * 100 + m
-    rng = np.random.default_rng(per_class)
-    centres = 1.5 * rng.normal(size=(3, 8))
-    train = [rng.normal(size=(per_class, 8)) + c for c in centres]
-    queries = [rng.normal(size=(m, 8)) + centres[cls] for cls in (0, 1, 2, 1)]
+    train, queries = _gaussian_queries(per_class)
     for name in ("masc", "lp"):
         classify = make_classifier(name)
         for obs in queries:
@@ -364,6 +370,22 @@ def test_graph_decisions_ignore_the_row_order_within_each_class(per_class):
                 shuffled = [ts[perm.permutation(len(ts))] for ts in train]
                 got = classify(shuffled, obs)
                 assert (got.decision, got.tie) == (base.decision, base.tie), name
+                np.testing.assert_allclose(got.scores, base.scores, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("per_class", [20, 100], ids=["l=60", "l=300"])
+def test_graph_decisions_ignore_an_affine_map_of_the_rows(per_class):
+    # x -> a x + b scales every distance by a and sigma with it, so the edge
+    # weights, and with them the decisions, stay; only the rounding of the
+    # distances and of the GEMM estimate's centring changes
+    train, queries = _gaussian_queries(per_class)
+    for name in ("masc", "lp"):
+        classify = make_classifier(name)
+        for obs in queries:
+            base = classify(train, obs)
+            for a, b in ((3.0, 0.0), (0.1, 0.0), (1e3, 0.0), (1.0, 1e3), (7.0, -250.0)):
+                got = classify([ts * a + b for ts in train], obs * a + b)
+                assert (got.decision, got.tie) == (base.decision, base.tie), (name, a, b)
                 np.testing.assert_allclose(got.scores, base.scores, rtol=1e-12, atol=0)
 
 

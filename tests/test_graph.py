@@ -155,6 +155,22 @@ def test_dump_edges_format():
         assert float(w) > 0.0
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 39, 40, 45])
+@pytest.mark.parametrize("tile", [1, 7])
+def test_gallery_neighbours_across_row_tiles_with_ties(monkeypatch, tile, k):
+    # a 40-row integer grid with duplicate rows: nearly every row has ties at
+    # its k-th distance, and row tiles of 1 or 7 (the last of them 5) split
+    # the gallery, which at the default tile size happens only from l = 363
+    monkeypatch.setattr(graph, "_BLOCK", tile * 40)
+    rng = np.random.default_rng(11)
+    X = rng.integers(0, 3, size=(40, 2)).astype(float)
+    X[30:] = X[:10]
+    idx, d2 = GalleryIndex(X).neighbours(k)
+    assert idx.tolist() == brute_force_neighbors(X, min(k, 39))
+    D = cdist(X, X, "sqeuclidean")
+    assert d2.tobytes() == np.take_along_axis(D, idx, axis=1).tobytes()
+
+
 # -- the distances the GEMM filter rests on -------------------------------------
 
 def _spread_rows(rng, n, d):
