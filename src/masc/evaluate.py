@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -91,34 +90,24 @@ def _all_identical(xs) -> bool:
     return bool((xs == xs[0]).all())
 
 
-class _Gallery:
+class _Gallery(GalleryIndex):
     """One labelled block and what the classifiers derive from it alone.
 
-    Holds a read-only copy of the class sets, stacked in class order. The
-    graph index, the per-class distances and the per-class fits are built
-    on first use and never change after that.
+    The :class:`GalleryIndex` of a read-only copy of the class sets, stacked
+    in class order; ``sets`` are views of those rows. The labels, the
+    per-class distances and the per-class fits are parts of the index's
+    memo, built on first use and never changed after that.
     """
 
     def __init__(self, sets):
-        self.X = np.vstack(sets)
-        self.X.setflags(write=False)
-        self.sets, start = [], 0
-        for ts in sets:
-            self.sets.append(self.X[start:start + len(ts)])
-            start += len(ts)
-        self._parts = {}
-        self._lock = threading.Lock()
+        X = np.vstack(sets)
+        X.setflags(write=False)
+        super().__init__(X)
+        self.sets = np.split(X, np.cumsum([len(ts) for ts in sets])[:-1])
 
     def matches(self, sets) -> bool:
         return (len(sets) == len(self.sets)
-                and all(a.shape == b.shape for a, b in zip(sets, self.sets))
                 and all(np.array_equal(a, b) for a, b in zip(sets, self.sets)))
-
-    def _part(self, key, build):
-        with self._lock:
-            if key not in self._parts:
-                self._parts[key] = build()
-            return self._parts[key]
 
     def labels(self) -> np.ndarray:
         """One-hot class labels of the stacked rows."""
@@ -131,9 +120,6 @@ class _Gallery:
         return self._part("constant", lambda: next(
             (p for p, ts in enumerate(self.sets, start=1) if _all_identical(ts)), None))
 
-    def index(self) -> GalleryIndex:
-        return self._part("index", lambda: GalleryIndex(self.X))
-
     def pca_fits(self, q: int) -> list[PCAFit]:
         """Each class's leading q principal directions."""
         return self._part(("pca", q), lambda: [pca_fit(ts, q) for ts in self.sets])
@@ -145,66 +131,44 @@ class _Gallery:
     def gaussians(self, energy_cutoff: float) -> list[GaussianModel]:
         """Each class's Gaussian fit in spectral form."""
         return self._part(("kld", energy_cutoff), lambda: [
-            fit_gaussian(ts, energy_cutoff) for ts in self.sets])
+            _gaussian_fit(f"class {p}", ts, energy_cutoff)
+            for p, ts in enumerate(self.sets, start=1)])
 
     def graph(self, obs, config: GraphConfig):
         """The k-NN graph over the gallery rows followed by ``obs``."""
-        return build_knn_graph(np.vstack([self.X, obs]), config, self.index())
+        return build_knn_graph(np.vstack([self.X, obs]), config, self)
 
 
-class _LatestGallery:
-    """One slot holding the gallery of the most recent query.
-
-    The slot is shared by every classifier in the process, so the five
-    classifiers of one protocol reuse one gallery's work. A query finds the
-    slot's gallery only if its class sets have the same shapes and values,
-    compared against the slot's own copy, so changing an array in place
-    between calls can never return stale fits. Only class sets that passed
-    :func:`_check_sets` are stored, so the slot never holds a NaN or an inf.
-    """
-
-    def __init__(self):
-        self._gallery = None
-        self._lock = threading.Lock()
-
-    def find(self, sets) -> _Gallery | None:
-        """The slot's gallery if it equals ``sets``, else None."""
-        with self._lock:
-            gallery = self._gallery
-        return gallery if gallery is not None and gallery.matches(sets) else None
-
-    def store(self, sets) -> _Gallery:
-        """A new gallery of the checked ``sets``, now in the slot."""
-        gallery = _Gallery(sets)
-        with self._lock:
-            self._gallery = gallery
-        return gallery
-
-
-_LATEST = _LatestGallery()
+_latest: _Gallery | None = None  # the gallery of the most recent query
 
 
 def _query(train_sets, observations, fits_sets: bool = False):
     """The gallery of the class sets and the observations, both checked.
 
-    The class sets are looked up in the slot before they are checked. On a
-    miss they get every check and only then are stored. On a hit they equal
-    the stored copy, which holds only finite values, and ``np.array_equal``
-    is False wherever a NaN sits, so they are not scanned again: a hit
-    checks only what can differ from the stored gallery, that is the
-    observations, the class sizes against ``min_rows`` and the dimension.
-    Either way the first failing check and its message are the same.
+    Every classifier in the process shares ``_latest``, the most recent
+    query's gallery, so the five classifiers of one protocol reuse one
+    gallery's work. The class sets find it only if they have the shapes and
+    values of its own read-only copy, so changing an array in place between
+    calls never returns stale fits. On a miss they get every check and only
+    then are stored, so ``_latest`` never holds a NaN or an inf. On a hit
+    they equal that copy, and ``np.array_equal`` is False wherever a NaN
+    sits, so a hit checks only what can differ: the observations, the class
+    sizes against ``min_rows`` and the dimension. Either way the first
+    failing check and its message are the same. No lock is needed: a
+    gallery is complete before it is stored, and rebinding a name is atomic.
 
     ``fits_sets`` marks the classifiers that fit a subspace or a Gaussian
     to every set, which needs two samples that differ. The class sets are
     scanned for that once per gallery, the observations on every query.
     """
+    global _latest
     sets = [np.asarray(ts, dtype=float) for ts in train_sets]
     obs = np.asarray(observations, dtype=float)
-    gallery = _LATEST.find(sets)
-    _check_sets(sets, obs, min_rows=2 if fits_sets else 1, scan_classes=gallery is None)
-    if gallery is None:
-        gallery = _LATEST.store(sets)
+    gallery = _latest
+    hit = gallery is not None and gallery.matches(sets)
+    _check_sets(sets, obs, min_rows=2 if fits_sets else 1, scan_classes=not hit)
+    if not hit:
+        gallery = _latest = _Gallery(sets)
     if fits_sets:
         p = gallery.constant_class()
         if p is not None or _all_identical(obs):
@@ -233,6 +197,13 @@ def _kernel_fit(what, K, q):
         raise DataError(f"{what} has too few distinct samples: {exc}") from None
 
 
+def _gaussian_fit(what, X, energy_cutoff):
+    try:
+        return fit_gaussian(X, energy_cutoff)
+    except DataError as exc:
+        raise DataError(f"{what} has no Gaussian fit: {exc}") from None
+
+
 def make_classifier(name: str, *, k: int = 5, sigma: float | None = None,
                     sigma_sample_cap: int = 1000, sigma_seed: int = 0,
                     mu: float = 1.0, q: int = 9, sigma_kernel: float | None = None,
@@ -243,9 +214,9 @@ def make_classifier(name: str, *, k: int = 5, sigma: float | None = None,
     depends on the class sets alone (gallery k-NN lists and sigma windows,
     each class's distances, PCA subspaces, Gaussian fits) is done once per
     gallery and reused while queries keep arriving with the same sets; see
-    :class:`_LatestGallery`. A kmsm query computes its distances to the
-    gallery rows once, as one exact block that both sigma and every class's
-    cross kernel read.
+    :func:`_query`. A kmsm query computes its distances to the gallery rows
+    once, as one exact block that both sigma and every class's cross kernel
+    read.
     The subspace dimension is capped at (smallest set size - 1) so thin sets
     stay usable; msm further caps each set's subspace at that set's
     numerical rank, the observation subspace below d and each class subspace
@@ -300,7 +271,7 @@ def make_classifier(name: str, *, k: int = 5, sigma: float | None = None,
             Pc = pdist(obs, "sqeuclidean")
             skern = sigma_kernel
             if skern is None:
-                skern = gallery.index().sigma(C, Pc, graph_config)
+                skern = gallery.sigma(C, Pc, graph_config)
             weights = gaussian_weights(skern)
             test = _kernel_fit("observation set", weights(squareform(Pc)), q_eff)
             sims, a = [], 0
@@ -317,8 +288,15 @@ def make_classifier(name: str, *, k: int = 5, sigma: float | None = None,
     else:  # kld
         def classify(train_sets, observations):
             gallery, obs = _query(train_sets, observations, fits_sets=True)
-            test = fit_gaussian(obs, energy_cutoff)
-            scores = [symmetric_kl(test, mdl) for mdl in gallery.gaussians(energy_cutoff)]
+            test = _gaussian_fit("observation set", obs, energy_cutoff)
+            models = gallery.gaussians(energy_cutoff)
+            # a divergence that overflows reads inf, or NaN from inf - inf
+            with np.errstate(over="ignore", invalid="ignore"):
+                scores = [symmetric_kl(test, mdl) for mdl in models]
+            far = np.flatnonzero(~np.isfinite(scores))
+            if far.size:
+                raise DataError(f"class {far[0] + 1}'s divergence from the observation set"
+                                " leaves the floating-point range")
             decision, tie = _decide(scores, np.argmin)
             return Decision(decision, tuple(scores), tie)
 

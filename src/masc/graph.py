@@ -58,9 +58,6 @@ _WINDOWS = 8  # sigma windows a gallery keeps, the most recently used
 # Galleries below this many rows get the full cdist block: there it costs
 # less than the estimate and the recomputation (measured crossover).
 _FILTER_MIN_L = 200
-# A query whose pairs needing exact values exceed this share of its m x l
-# block computes the whole block instead (ties, duplicates, integer grids).
-_FULL_SHARE = 0.25
 _U = np.finfo(float).eps / 2  # unit roundoff
 
 
@@ -84,14 +81,14 @@ class _SigmaWindow:
 
 
 class GalleryIndex:
-    """The rows, k-NN lists and sigma windows of one labelled block.
+    """The rows of one labelled block and what is derived from them alone,
+    so one index serves every query against the same block.
 
-    Everything here depends on the labelled rows alone, so one index serves
-    every query against the same block. The k-NN lists are filled on first
-    use of each k, the sigma windows on first use of each sample size and
-    the rows centred on their mean (for :meth:`cross`'s estimate) on the
-    first query; no l x l distance block is kept. ``X`` is used as given and
-    must not change while the index lives. Its rows are checked for
+    The k-NN lists of each k and the rows centred on their mean (for
+    :meth:`cross`'s estimate) are parts of one memo, :meth:`_part`, which
+    never evicts; :meth:`window` keeps the sigma windows of the most
+    recently used sample sizes only. No l x l distance block is kept. ``X`` is used as given
+    and must not change while the index lives. Its rows are checked for
     non-finite values here, once, so no query scans them again.
     """
 
@@ -102,36 +99,44 @@ class GalleryIndex:
         if not np.isfinite(X).all():
             raise ValueError("X has a non-finite value")
         self.X = X
-        self._lists: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._parts = {}
         self._windows: dict[tuple[int, int, int], _SigmaWindow] = {}
-        self._centred: tuple[np.ndarray, np.ndarray, np.ndarray, float] | None = None
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
 
     @property
     def l(self) -> int:
         return self.X.shape[0]
 
+    def _part(self, key, build):
+        """The part kept under ``key``, built by ``build()`` on first use
+        under the index's lock, so it is built once. The lock is reentrant:
+        a build may read another part, or a sigma window, without deadlock.
+        """
+        with self._lock:
+            if key not in self._parts:
+                self._parts[key] = build()
+            return self._parts[key]
+
     def neighbours(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(indices, squared distances) of each row's min(k, l-1) nearest
         other rows, ordered by (distance, index)."""
-        with self._lock:
-            lists = self._lists.get(k)
-            if lists is None:
-                # row tiles of about 1 MB: each pair is computed twice, but
-                # no l x l matrix is ever held, and cdist's values equal
-                # pdist's bit for bit
-                j = min(k, self.l - 1)  # a 1-row gallery lists no neighbour
-                step, parts = max(1, _BLOCK // self.l), []
-                for a in range(0, self.l, step):
-                    D = cdist(self.X[a:a + step], self.X, "sqeuclidean")
-                    rows = np.arange(D.shape[0])
-                    D[rows, a + rows] = np.inf  # a row is not its own neighbour
-                    # a row's candidates: its entries up to its j-th smallest
-                    kth = np.partition(D, j - 1, axis=1)[:, j - 1:j] if j else -np.inf
-                    r, c = np.nonzero(D <= kth)
-                    parts.append(_k_smallest(r, c, D[r, c], D.shape[0], j))
-                lists = self._lists[k] = tuple(map(np.concatenate, zip(*parts)))
-        return lists
+        def build():
+            # row tiles of about 1 MB: each pair is computed twice, but no
+            # l x l matrix is ever held, and cdist's values equal pdist's
+            # bit for bit
+            j = min(k, self.l - 1)  # a 1-row gallery lists no neighbour
+            step, parts = max(1, _BLOCK // self.l), []
+            for a in range(0, self.l, step):
+                D = cdist(self.X[a:a + step], self.X, "sqeuclidean")
+                rows = np.arange(D.shape[0])
+                D[rows, a + rows] = np.inf  # a row is not its own neighbour
+                # a row's candidates: its entries up to its j-th smallest
+                kth = np.partition(D, j - 1, axis=1)[:, j - 1:j] if j else -np.inf
+                r, c = np.nonzero(D <= kth)
+                parts.append(_k_smallest(r, c, D[r, c], D.shape[0], j))
+            return tuple(map(np.concatenate, zip(*parts)))
+
+        return self._part(("neighbours", k), build)
 
     def window(self, m: int, config: GraphConfig) -> _SigmaWindow:
         """The sigma window for queries of m observations, built on the
@@ -183,24 +188,25 @@ class GalleryIndex:
         obs = np.asarray(obs, dtype=float)
         m, d = obs.shape
         if self.l >= _FILTER_MIN_L and m:
-            with self._lock:
-                if self._centred is None:
-                    mean = self.X.mean(axis=0)
-                    Xc = self.X - mean
-                    xn = np.einsum("ij,ij->i", Xc, Xc)
-                    self._centred = mean, Xc, xn, math.sqrt(xn.max())
-                mean, Xc, xn, R = self._centred
+            def centre():
+                mean = self.X.mean(axis=0)
+                Xc = self.X - mean
+                xn = np.einsum("ij,ij->i", Xc, Xc)
+                return mean, Xc, xn, math.sqrt(xn.max())
+
+            mean, Xc, xn, R = self._part("centred", centre)
             A = obs - mean
             an = np.einsum("ij,ij->i", A, A)
-            s2 = np.square(np.sqrt(an) + R)
+            with np.errstate(over="ignore"):  # an inf s² takes the cdist block
+                s2 = np.square(np.sqrt(an) + R)
             if s2.max() < 2.0 ** 1000:
                 G = A @ Xc.T
                 G *= -2.0
                 G += an[:, None]
                 G += xn
                 e = (2 * d + 16) * _U * s2 + 8 * (d + 1) * 2.0 ** -1074
-                return _CrossBlock(self.X, obs, G, e)
-        return _CrossBlock(self.X, obs, cdist(obs, self.X, "sqeuclidean"))
+                return _CrossBlock(self.X, G, obs, e)
+        return _CrossBlock(self.X, cdist(obs, self.X, "sqeuclidean"))
 
     def sigma(self, C, Pc, config: GraphConfig = GraphConfig()) -> float:
         """The median-heuristic sigma of the gallery rows stacked on m
@@ -212,7 +218,7 @@ class GalleryIndex:
         passes it here; :func:`build_knn_graph` takes the estimate of
         :meth:`cross` instead.
         """
-        return _median_sigma(self, _CrossBlock(self.X, None, C), Pc, config)
+        return _median_sigma(self, _CrossBlock(self.X, C), Pc, config)
 
 
 class _CrossBlock:
@@ -222,28 +228,24 @@ class _CrossBlock:
     G settles every comparison whose margin exceeds the bound. The pairs it
     cannot settle get their ``cdist`` values from :meth:`exact`, and every
     value that leaves this block (an edge, a sigma) is one of those.
-    Without ``e``, G is the ``cdist`` block itself, e = 0 and :meth:`exact`
-    reads G; ``obs`` is then not needed.
+    Without ``obs`` and ``e``, G is the ``cdist`` block itself, e = 0 and
+    :meth:`exact` reads G.
     """
 
-    def __init__(self, X, obs, G, e=None):
-        self.X, self.obs, self.G = X, obs, G
+    def __init__(self, X, G, obs=None, e=None):
+        self.X, self.G, self.obs = X, G, obs
         self.e = np.zeros(G.shape[0]) if e is None else e
-        self._block = G if e is None else None
 
     def exact(self, rows, cols) -> np.ndarray:
         """``cdist`` values of the pairs (rows[t], cols[t]), listed row by
-        row. One ``cdist`` call per row computes them, unless they exceed
-        :data:`_FULL_SHARE` of the block: then the whole block, once.
+        row, from one ``cdist`` call per row.
 
         A single row's ``cdist`` on a subset of the gallery rows equals the
         same entries of the full block, and ``pdist``, bit for bit;
         ``tests/test_graph.py`` pins that.
         """
-        if self._block is None and rows.size > _FULL_SHARE * self.G.size:
-            self._block = cdist(self.obs, self.X, "sqeuclidean")
-        if self._block is not None:
-            return self._block[rows, cols]
+        if self.obs is None:
+            return self.G[rows, cols]
         out = np.empty(rows.size)
         starts = np.flatnonzero(np.diff(rows, prepend=-1))
         for a, b in zip(starts, np.r_[starts[1:], rows.size]):
@@ -294,6 +296,8 @@ def _half_median(d2, lo: int, hi: int) -> float:
     median = a if lo == hi else (a + b) / 2.0
     if median == 0.0:  # the data's doing, mostly duplicate rows
         raise DataError("zero median distance")
+    if median == math.inf:  # squared distances beyond the floating-point range
+        raise DataError("median distance overflows")
     return median / 2.0
 
 

@@ -8,9 +8,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .data import DataError
 from .subspace import pca_fit
 
 _EIGENVALUE_FLOOR = 1e-8  # relative to the largest eigenvalue
+_TINY = np.finfo(float).tiny  # the smallest positive normal float
 
 
 @dataclass(frozen=True)
@@ -92,6 +94,11 @@ def fit_gaussian(X, energy_cutoff: float = 0.96) -> GaussianModel:
     the fill, so the model stays full rank and the closed-form divergence
     exists. Every variance is floored at 1e-8 of the largest. Unbiased
     1/(n-1) normalization.
+
+    A set whose variances leave the floating-point range is a
+    :class:`DataError`, raised before any is computed: 1e-8 of the largest,
+    and so every variance and the fill, must be a positive normal float,
+    and d times the largest finite, so no sum of them overflows.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n, d = X.shape
@@ -100,10 +107,14 @@ def fit_gaussian(X, energy_cutoff: float = 0.96) -> GaussianModel:
     if not 0 < energy_cutoff <= 1:
         raise ValueError("energy_cutoff must be in (0, 1]")
     fit = pca_fit(X)
+    top = float(fit.svals[0])
+    if top == 0.0:
+        raise DataError("degenerate covariance (zero total variance)")
+    largest = top * top / (n - 1)  # a Python float: inf on overflow, no warning
+    if not (_EIGENVALUE_FLOOR * largest >= _TINY and d * largest < math.inf):
+        raise DataError("variances outside the floating-point range")
     variances = fit.svals ** 2 / (n - 1)
     total = float(variances.sum())
-    if not total > 0:
-        raise ValueError("degenerate covariance (zero total variance)")
     reached = np.cumsum(variances) >= energy_cutoff * total
     retained = int(np.argmax(reached)) + 1 if reached.any() else variances.size
     retained = min(retained, n - 1, d)

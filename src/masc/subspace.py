@@ -81,13 +81,15 @@ class PCAFit:
     rank: int          # numerical rank of the centered set
 
     def subspace(self, q: int) -> Subspace:
-        """Top-q eigenvectors of the sample covariance."""
+        """Top-q eigenvectors of the sample covariance; an eigenvalue beyond
+        the floating-point range reads inf, which the basis does not use."""
         d = self.mean.shape[0]
         limit = min(d, self.n - 1, self.svals.size)
         if not 1 <= q <= limit:
             raise ValueError(f"q must be in 1..{limit} for a {self.n}x{d} set, got {q}")
         basis = _fix_signs(self.Vt[:q].T)
-        eigenvalues = self.svals[:q] ** 2 / (self.n - 1)
+        with np.errstate(over="ignore"):
+            eigenvalues = self.svals[:q] ** 2 / (self.n - 1)
         return Subspace(basis=basis, mean=self.mean, eigenvalues=eigenvalues)
 
 

@@ -180,6 +180,54 @@ class TestClassify:
         assert code == 0
         assert json.loads(out)["decision"] == 2
 
+    @pytest.mark.parametrize("scale", [-530, 515], ids=lambda j: f"2^{j}")
+    @pytest.mark.parametrize("name", ["masc", "lp", "msm", "kmsm", "kld"])
+    def test_data_at_the_edge_of_the_float_range(self, capsys, tmp_path, name, scale):
+        # squared distances and variances of rows scaled by 2^-530 leave the
+        # normal range, and by 2^515 overflow; scaling by a power of two is
+        # exact, so a run either keeps its unit-scale decision or is a data
+        # error, and never prints a NaN or an inf
+        rng = np.random.default_rng(0)
+        centres = 6.0 * np.eye(3, 5)
+        labeled = np.vstack([rng.normal(size=(20, 5)) + c for c in centres])
+        observations = rng.normal(size=(6, 5)) + centres[1]
+
+        def classify(factor):
+            ds = Dataset(labeled=labeled * factor, labeled_classes=np.repeat([1, 2, 3], 20),
+                         observations=observations * factor, c=3)
+            path = tmp_path / "scaled.csv"
+            save_dataset(ds, path)
+            return run(capsys, "classify", "--classifier", name, "--input", str(path))
+
+        def no_constant(token):
+            raise ValueError(f"{token} on stdout")
+
+        code, out, _ = classify(1.0)
+        assert code == 0
+        want = json.loads(out)["decision"]
+        code, out, err = classify(2.0 ** scale)
+        if code == 0:
+            assert json.loads(out, parse_constant=no_constant)["decision"] == want
+        else:
+            assert code == 3
+            assert out == ""
+            assert err.startswith("error: ")
+
+    def test_kld_divergence_beyond_the_float_range_is_a_data_error(self, capsys, tmp_path):
+        # unit spread, and classes 1 and 3 about 1e155 from the observations:
+        # their squared mean distances, and so their divergences, overflow
+        rng = np.random.default_rng(1)
+        centres = 1e155 * np.eye(3, 5)
+        ds = Dataset(labeled=np.vstack([rng.normal(size=(20, 5)) + c for c in centres]),
+                     labeled_classes=np.repeat([1, 2, 3], 20),
+                     observations=rng.normal(size=(6, 5)) + centres[1], c=3)
+        path = tmp_path / "far.csv"
+        save_dataset(ds, path)
+        code, out, err = run(capsys, "classify", "--classifier", "kld", "--input", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: class 1's divergence from the observation set leaves")
+
     def test_output_file_matches_stdout(self, capsys, blob_csv, tmp_path):
         out_path = tmp_path / "result.json"
         code, out, _ = run(capsys, "classify", "--input", blob_csv,

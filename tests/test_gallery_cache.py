@@ -147,7 +147,8 @@ def full_blocks(monkeypatch):
 def hard_instances():
     """(name, X, l) on which the estimate cannot settle every comparison:
     integer grids, duplicate rows, rows equidistant from an observation,
-    rows far from the origin, and the same rows scaled by powers of two."""
+    rows far from the origin or near overflow, and the same rows scaled by
+    powers of two."""
     rng = np.random.default_rng(21)
     out = [("grid", rng.integers(0, 3, size=(90, 4)).astype(float), 70),
            ("coarse-grid", rng.integers(0, 2, size=(75, 3)).astype(float), 60)]
@@ -164,6 +165,9 @@ def hard_instances():
     out.append(("offset", normal + 1e6, 64))
     for j in (-60, -3, 0, 5, 60):
         out.append((f"scaled-2^{j}", normal * 2.0 ** j, 64))
+    # squared norms stay finite, but the bound's s² overflows: the cdist block
+    big = np.sqrt(np.finfo(float).max)
+    out.append(("near-overflow", normal / np.abs(normal).max() * big * 0.6, 64))
     return out
 
 
@@ -193,7 +197,8 @@ def test_filter_and_full_block_are_both_reached(full_blocks):
     cases = [  # (X, l, full blocks expected)
         (rng.normal(size=(340, 6)) + 1e6, 300, 0),  # centring keeps the bound tight
         (rng.normal(size=(250, 3)) * 2.0 ** 40, 210, 0),
-        (rng.integers(0, 2, size=(340, 3)).astype(float), 300, 1),  # a third of the pairs tie
+        # a third of the pairs tie, and are recomputed row by row
+        (rng.integers(0, 2, size=(340, 3)).astype(float), 300, 0),
         (rng.normal(size=(small + 40, 6)), small, 1),
     ]
     for X, l, blocks in cases:
@@ -639,14 +644,14 @@ def test_a_non_finite_gallery_is_rejected_and_never_stored(name, bad):
     train, obs = fixture.make_instance(2, 20, np.random.default_rng(4))
     classify = make_classifier(name)
     want = classify(train, obs)
-    stored = evaluate._LATEST.find(train)
-    assert stored is not None
+    stored = evaluate._latest
+    assert stored is not None and stored.matches(train)
     spoiled = [ts.copy() for ts in train]
     spoiled[2][5, 7] = bad  # the same shapes as the stored sets
     for _ in range(2):
         with pytest.raises(DataError, match="^class 3 has a non-finite value$"):
             classify(spoiled, obs)
-        assert evaluate._LATEST.find(train) is stored
+        assert evaluate._latest is stored
     assert same_decision(classify(train, obs), want)
     assert same_decision(want, reference_decision(name, train, obs))
 
