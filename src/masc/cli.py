@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -216,6 +217,19 @@ def cmd_classify(cfg: ExperimentConfig, args) -> int:
     return 0
 
 
+def _sweep_threads() -> int:
+    """The sweep's thread count from MSC_THREADS, an integer >= 1; unset
+    means 1. Every count gives the same output."""
+    raw = os.environ.get("MSC_THREADS", "1")
+    try:
+        threads = int(raw)
+    except ValueError:
+        raise ConfigError(f"MSC_THREADS must be an integer, got {raw!r}") from None
+    if threads < 1:
+        raise ConfigError(f"MSC_THREADS must be >= 1, got {raw!r}")
+    return threads
+
+
 def cmd_sweep(cfg: ExperimentConfig, args) -> int:
     fixture = make_fixture(args.fixture, classes=args.classes, seed=cfg.seed)
     reports = observation_sweep(
@@ -226,6 +240,7 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
         cfg.trials,
         cfg.seed,
         classifier_name=cfg.classifier,
+        threads=_sweep_threads(),
     )
     text = sweep_to_json(reports) if args.format == "json" else sweep_to_csv(reports)
     _emit(text, cfg.output)

@@ -3,15 +3,15 @@
 from __future__ import annotations
 
 import json
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from .data import DataError, resample_set
-from .graph import GalleryIndex, GraphConfig, build_knn_graph
+from .graph import GalleryIndex, GraphConfig, _check_width, _underflow, build_knn_graph
 from .labelprop import lp_votes
 from .smoothing import masc_classify, one_hot_labels
 from .statdist import GaussianModel, fit_gaussian, symmetric_kl
@@ -40,21 +40,6 @@ class Decision:
     decision: int
     scores: tuple[float, ...]
     tie: bool
-
-
-def resolve_threads(threads: int | None = None) -> int:
-    """Worker count; None reads MSC_THREADS (0 or unset means auto)."""
-    if threads is None:
-        raw = os.environ.get("MSC_THREADS", "0")
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise ValueError(f"MSC_THREADS must be an integer, got {raw!r}") from None
-    if threads < 0:
-        raise ValueError("thread count must be >= 0")
-    if threads == 0:
-        return min(8, os.cpu_count() or 1)
-    return threads
 
 
 def _check_sets(sets, obs, min_rows: int = 1, scan_classes: bool = True) -> None:
@@ -229,6 +214,8 @@ def make_classifier(name: str, *, k: int = 5, sigma: float | None = None,
         raise ValueError(f"unknown classifier {name!r} (choose from {CLASSIFIERS})")
     graph_config = GraphConfig(k=k, sigma=sigma, sigma_sample_cap=sigma_sample_cap,
                                sigma_seed=sigma_seed)
+    if sigma_kernel is not None:
+        _check_width("sigma_kernel", sigma_kernel)
 
     if name == "masc":
         def classify(train_sets, observations):
@@ -274,14 +261,20 @@ def make_classifier(name: str, *, k: int = 5, sigma: float | None = None,
                 skern = gallery.sigma(C, Pc, graph_config)
             weights = gaussian_weights(skern)
             test = _kernel_fit("observation set", weights(squareform(Pc)), q_eff)
-            sims, a = [], 0
+            sims, a, reached = [], 0, np.zeros(obs.shape[0], dtype=bool)
             for p, (ts, P) in enumerate(zip(gallery.sets, gallery.class_distances()), start=1):
                 fit = _kernel_fit(f"class {p}", weights(squareform(P)), q_eff)
                 # made contiguous, the slice is cdist(class, obs) bit for
                 # bit, in the memory layout its row and column means need
                 Kab = weights(np.ascontiguousarray(C[:, a:a + len(ts)].T))
+                reached |= Kab.any(axis=0)
                 sims.append(gram_kmsm_similarity(Kab, fit, test))
                 a += len(ts)
+            lost = np.flatnonzero(~reached)
+            if lost.size:  # no gallery row's kernel reaches this observation
+                i = lost[0]
+                raise _underflow(f"kernel value between observation {i + 1} and a gallery row",
+                                 "sigma_kernel", skern, C[i].min(), sigma_kernel is not None)
             decision, tie = _decide(sims, np.argmax)
             return Decision(decision, tuple(sims), tie)
 
@@ -312,6 +305,21 @@ def error_rate(decisions) -> float:
     return wrong / len(pairs)
 
 
+def _score(classifier, queries) -> tuple[tuple[int, int], ...]:
+    """(decision, class) for each (train_sets, observations) query, the p-th
+    holding class p's set. ``queries`` may be a generator: each query is
+    drawn just before it is classified."""
+    return tuple((classifier(train_sets, obs).decision, cls)
+                 for cls, (train_sets, obs) in enumerate(queries, start=1))
+
+
+def _error_stats(decisions) -> tuple[tuple[float, ...], float, float]:
+    """Per-trial errors of the trials' (decision, class) pairs, their mean
+    as total wrong over all decisions, and the errors' std."""
+    errors = tuple(error_rate(trial) for trial in decisions)
+    return errors, error_rate(chain.from_iterable(decisions)), float(np.std(np.asarray(errors)))
+
+
 def session_metric(errors, sessions: int = 3) -> float:
     """Mean error over all ordered (train session, test session) pairs."""
     pairs = [(i, j) for i in range(1, sessions + 1)
@@ -338,46 +346,37 @@ class TrialReport:
 
 def observation_sweep(factory, classifier, classes: int, m_values, trials: int,
                       seed: int, classifier_name: str = "",
-                      threads: int | None = None) -> list[TrialReport]:
+                      threads: int = 1) -> list[TrialReport]:
     """For each m, classify ``trials`` fresh observation sets per class.
 
     ``factory(class_id, m, rng)`` returns (train_sets, observations). Each
     (m, trial, class) task gets its own generator split off the master seed,
-    so parallel runs reproduce serial ones; errors are accumulated as integer
-    counts before dividing.
+    so the trials of ``threads`` >= 2 pool threads reproduce a serial run;
+    one thread runs them in the caller's thread.
     """
     m_values = [int(m) for m in m_values]
     if not m_values:
         raise ValueError("m_values nonempty required")
     if trials < 1:
         raise ValueError("trials >= 1 required")
-    workers = resolve_threads(threads)
+    if threads < 1:
+        raise ValueError("threads >= 1 required")
     reports = []
     for m in m_values:
         def run_trial(t, m=m):
-            wrong = 0
-            decs = []
-            for cls in range(1, classes + 1):
-                rng = np.random.default_rng(np.random.SeedSequence([seed, m, t, cls]))
-                train_sets, obs = factory(cls, m, rng)
-                dec = classifier(train_sets, obs)
-                decs.append((dec.decision, cls))
-                wrong += int(dec.decision != cls)
-            return wrong, tuple(decs)
+            return _score(classifier, (
+                factory(cls, m, np.random.default_rng(np.random.SeedSequence([seed, m, t, cls])))
+                for cls in range(1, classes + 1)))
 
-        if workers <= 1:
-            results = [run_trial(t) for t in range(trials)]
+        if threads == 1:
+            decisions = tuple(map(run_trial, range(trials)))
         else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(run_trial, range(trials)))
-        wrongs = [r[0] for r in results]
-        errors = tuple(w / classes for w in wrongs)
-        mean = sum(wrongs) / (classes * trials)
-        std = float(np.std(np.asarray(errors)))
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                decisions = tuple(pool.map(run_trial, range(trials)))
+        errors, mean, std = _error_stats(decisions)
         reports.append(TrialReport(
             m=m, classifier=classifier_name, trials=trials, seed=seed,
-            errors=errors, decisions=tuple(r[1] for r in results),
-            mean_error=float(mean), std_error=std,
+            errors=errors, decisions=decisions, mean_error=mean, std_error=std,
         ))
     return reports
 
@@ -426,13 +425,10 @@ def session_pair_errors(sessions, classifier, r: int = 1) -> dict[tuple[int, int
     for i, train_gallery in enumerate(sessions, start=1):
         train_sets = [resample_set(np.asarray(xs, dtype=float), r) for xs in train_gallery]
         for j, test_gallery in enumerate(sessions, start=1):
-            if i == j:
-                continue
-            wrong = 0
-            for cls in range(1, classes + 1):
-                obs = resample_set(np.asarray(test_gallery[cls - 1], dtype=float), r)
-                wrong += int(classifier(train_sets, obs).decision != cls)
-            errors[(i, j)] = wrong / classes
+            if i != j:
+                errors[(i, j)] = error_rate(_score(classifier, (
+                    (train_sets, resample_set(np.asarray(xs, dtype=float), r))
+                    for xs in test_gallery)))
     return errors
 
 
@@ -457,7 +453,6 @@ def random_split_errors(gallery, classifier, train_count: int, trials: int,
     both sides are thinned with step r after the split.
     """
     sets = [np.asarray(xs, dtype=float) for xs in gallery]
-    classes = len(sets)
     if train_count < 1:
         raise ValueError("train_count >= 1 required")
     for p, xs in enumerate(sets, start=1):
@@ -465,7 +460,7 @@ def random_split_errors(gallery, classifier, train_count: int, trials: int,
             raise ValueError(
                 f"class {p} has {xs.shape[0]} samples, needs more than {train_count}"
             )
-    wrongs = []
+    decisions = []
     for t in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
         train_sets, test_sets = [], []
@@ -473,12 +468,7 @@ def random_split_errors(gallery, classifier, train_count: int, trials: int,
             perm = rng.permutation(xs.shape[0])
             train_sets.append(resample_set(xs[perm[:train_count]], r))
             test_sets.append(resample_set(xs[perm[train_count:]], r))
-        wrong = 0
-        for cls in range(1, classes + 1):
-            wrong += int(classifier(train_sets, test_sets[cls - 1]).decision != cls)
-        wrongs.append(wrong)
-    errors = tuple(w / classes for w in wrongs)
-    mean = sum(wrongs) / (classes * trials)
+        decisions.append(_score(classifier, ((train_sets, ts) for ts in test_sets)))
+    errors, mean, std = _error_stats(decisions)
     return SplitReport(train_count=train_count, trials=trials, seed=seed, r=r,
-                       errors=errors, mean_error=float(mean),
-                       std_error=float(np.std(np.asarray(errors))))
+                       errors=errors, mean_error=mean, std_error=std)

@@ -30,10 +30,33 @@ class GraphConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k >= 1 required")
-        if self.sigma is not None and not self.sigma > 0:
-            raise ValueError("fixed sigma must be > 0")
+        if self.sigma is not None:
+            _check_width("sigma", self.sigma)
         if self.sigma_sample_cap < 2:
             raise ValueError("sigma_sample_cap >= 2 required")
+
+
+def _check_width(name: str, sigma: float) -> None:
+    """Raise ValueError unless the fixed width ``sigma`` is positive and
+    2 sigma², the divisor of every Gaussian weight exp(-d² / (2 sigma²)), is
+    a positive normal float."""
+    if not sigma > 0:
+        raise ValueError(f"fixed {name} must be > 0")
+    s = float(sigma)  # a Python float: its square overflows to inf, silently
+    if not np.finfo(float).tiny <= 2.0 * s * s < math.inf:
+        raise ValueError(f"{name} {s!r} is out of range:"
+                         " 2*sigma*sigma must be a positive normal float")
+
+
+def _underflow(what: str, name: str, sigma: float, d2: float, given: bool) -> ValueError:
+    """The error for a width ``sigma`` under which every Gaussian weight of
+    ``what`` underflows to 0, ``d2`` being the smallest squared distance
+    among them: a ValueError for a given width, a DataError for the one the
+    median heuristic chose."""
+    source = "" if given else "the median heuristic's "
+    return (ValueError if given else DataError)(
+        f"every {what} underflows to 0: {source}{name} {sigma:.6g} is too small"
+        f" for the nearest distance {math.sqrt(d2):.6g}")
 
 
 @dataclass(frozen=True)
@@ -479,17 +502,28 @@ def build_knn_graph(X, config: GraphConfig = GraphConfig(),
                                  np.concatenate([d2, P[prow, pcol]]), m, k)
 
     # keep (i, j) if either endpoint selected the other; both directions of
-    # an edge carry the same distance, so either copy will do
+    # an edge carry bitwise the same distance, so any copy will do and the
+    # sort need not be stable
     src = np.repeat(np.arange(n), k)
     dst = np.concatenate([heads.ravel(), tails.ravel()])
-    keys, first = np.unique(np.concatenate([src * n + dst, dst * n + src]), return_index=True)
-    d2 = np.tile(np.concatenate([head_d2.ravel(), tail_d2.ravel()]), 2)[first]
+    keys = np.concatenate([src * n + dst, dst * n + src])
+    order = keys.argsort()
+    keys = keys[order]
+    first = np.r_[True, keys[1:] != keys[:-1]]
+    keys = keys[first]
+    d2 = np.tile(np.concatenate([head_d2.ravel(), tail_d2.ravel()]), 2)[order[first]]
     # the keys are sorted row-major, so they are H's CSR layout as they stand
     indptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
     vals = np.exp(-d2 / (2.0 * sigma * sigma))
     H = sparse.csr_matrix((vals, keys % n, indptr), shape=(n, n))
     degrees = np.asarray(H.sum(axis=1)).ravel()
+    dead = np.flatnonzero(degrees == 0)
+    if dead.size:  # its nearest neighbour heads its list
+        i = dead[0]
+        nearest = head_d2[i, 0] if i < l else tail_d2[i - l, 0]
+        raise _underflow(f"edge weight of node {i + 1}", "sigma", sigma, nearest,
+                         config.sigma is not None)
     S = normalize_similarity(H, degrees)
     return SimilarityGraph(n=n, H=H, degrees=degrees, S=S, sigma=float(sigma), k=k)
 

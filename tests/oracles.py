@@ -175,8 +175,12 @@ def reference_knn_graph(X, config):
     vals = np.exp(-d2[rows, cols] / (2.0 * sigma * sigma))
     H = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
     degrees = np.asarray(H.sum(axis=1)).ravel()
-    if not (degrees > 0).all():
-        raise ValueError(f"node {np.argmin(degrees > 0) + 1} has zero degree")
+    if not (degrees > 0).all():  # the library's error, for the same node and distance
+        from masc.graph import _underflow
+
+        i = np.argmin(degrees > 0)
+        raise _underflow(f"edge weight of node {i + 1}", "sigma", sigma,
+                         np.delete(d2[i], i).min(), config.sigma is not None)
     dinv = sparse.diags(1.0 / np.sqrt(degrees))
     raw = (dinv @ H @ dinv).tocsr()
     upper = sparse.triu(raw, k=1)

@@ -228,6 +228,53 @@ class TestClassify:
         assert out == ""
         assert err.startswith("error: class 1's divergence from the observation set leaves")
 
+    @pytest.mark.parametrize("flags,message", [
+        (("--classifier", "masc", "--sigma", "1e-3"),
+         "every edge weight of node 1 underflows to 0: sigma 0.001 is too small"
+         " for the nearest distance 0.653341"),
+        (("--classifier", "lp", "--sigma", "1e-3"),
+         "every edge weight of node 1 underflows to 0: sigma 0.001 is too small"
+         " for the nearest distance 0.653341"),
+        (("--classifier", "kmsm", "--sigma-kernel", "1e-3"),
+         "every kernel value between observation 1 and a gallery row underflows to 0:"
+         " sigma_kernel 0.001 is too small for the nearest distance 0.539179"),
+        (("--classifier", "kmsm", "--sigma-kernel", "1e-200"),
+         "sigma_kernel 1e-200 is out of range: 2*sigma*sigma must be a positive normal float"),
+        (("--classifier", "masc", "--sigma", "1e-200"),
+         "sigma 1e-200 is out of range: 2*sigma*sigma must be a positive normal float"),
+    ], ids=["masc-1e-3", "lp-1e-3", "kmsm-1e-3", "kmsm-1e-200", "masc-1e-200"])
+    def test_a_given_width_too_small_for_the_data_is_config_error(self, capsys, tmp_path,
+                                                                   flags, message):
+        # every weight or cross-kernel value of some node underflows to 0,
+        # or 2 sigma² itself does; neither is classified
+        path = str(tmp_path / "curved.csv")
+        assert run(capsys, "synth", "--fixture", "curved-manifolds", "--true-class", "2",
+                   "--m", "10", "--seed", "0", "--out", path)[0] == 0
+        code, out, err = run(capsys, "classify", *flags, "--input", path)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("name,what", [
+        ("masc", "edge weight of node 61"), ("lp", "edge weight of node 61"),
+        ("kmsm", "kernel value between observation 1 and a gallery row")])
+    def test_a_median_width_too_small_for_the_data_is_a_data_error(self, capsys, tmp_path,
+                                                                    name, what):
+        # three overlapping classes spread 1e-3 and observations 100 apart:
+        # the median distance is the classes' own, and no weight reaches an
+        # observation
+        rng = np.random.default_rng(0)
+        ds = Dataset(labeled=1e-3 * rng.normal(size=(60, 5)),
+                     labeled_classes=np.repeat([1, 2, 3], 20),
+                     observations=100.0 * np.vstack([np.eye(5), -np.eye(1, 5)]), c=3)
+        path = tmp_path / "far.csv"
+        save_dataset(ds, path)
+        code, out, err = run(capsys, "classify", "--classifier", name, "--input", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"error: every {what} underflows to 0: the median heuristic's")
+        assert " is too small for the nearest distance 99.99" in err
+
     def test_output_file_matches_stdout(self, capsys, blob_csv, tmp_path):
         out_path = tmp_path / "result.json"
         code, out, _ = run(capsys, "classify", "--input", blob_csv,
@@ -329,6 +376,47 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--m-values", "4,x", "--trials", "1")
         assert code == 2
         assert "m-values" in err
+
+    @pytest.mark.parametrize("raw,threads", [(None, 1), ("3", 3)], ids=["unset", "3"])
+    def test_msc_threads_sets_the_thread_count(self, capsys, monkeypatch, raw, threads):
+        import masc.cli
+
+        seen = []
+        sweep = masc.cli.observation_sweep
+
+        def spy(*args, threads, **kwargs):
+            seen.append(threads)
+            return sweep(*args, threads=threads, **kwargs)
+
+        monkeypatch.setattr(masc.cli, "observation_sweep", spy)
+        if raw is None:
+            monkeypatch.delenv("MSC_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("MSC_THREADS", raw)
+        code, _, _ = run(capsys, "sweep", "--classes", "3", "--m-values", "4", "--trials", "2")
+        assert code == 0
+        assert seen == [threads]
+
+    @pytest.mark.parametrize("raw,message", [
+        ("zebra", "MSC_THREADS must be an integer, got 'zebra'"),
+        ("0", "MSC_THREADS must be >= 1, got '0'"),
+        ("-1", "MSC_THREADS must be >= 1, got '-1'"),
+    ])
+    def test_bad_msc_threads_is_config_error(self, capsys, monkeypatch, raw, message):
+        monkeypatch.setenv("MSC_THREADS", raw)
+        code, out, err = run(capsys, "sweep", "--classes", "3", "--m-values", "4",
+                             "--trials", "1")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_classify_ignores_msc_threads(self, capsys, monkeypatch, blob_csv):
+        argv = ("classify", "--k", "3", "--input", blob_csv)
+        monkeypatch.delenv("MSC_THREADS", raising=False)
+        want = run(capsys, *argv)
+        monkeypatch.setenv("MSC_THREADS", "zebra")
+        assert run(capsys, *argv) == want
+        assert want[0] == 0
 
 
 class TestSessions:

@@ -14,13 +14,15 @@ from masc.evaluate import (
     make_classifier,
     observation_sweep,
     random_split_errors,
-    resolve_threads,
     session_metric,
     session_pair_errors,
     sweep_to_csv,
 )
 from masc.fixtures import FIXTURES, make_fixture
+from masc.graph import GraphConfig
+from masc.smoothing import masc_classify, one_hot_labels
 from masc.subspace import pca_subspace
+from oracles import reference_knn_graph, reference_lp_votes
 
 
 class TestErrorRate:
@@ -111,6 +113,12 @@ class TestObservationSweep:
     def test_rejects_empty_m_values(self):
         with pytest.raises(ValueError):
             observation_sweep(blob_factory, make_classifier("masc"), 3, [], 1, 0)
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_rejects_fewer_than_one_thread(self, threads):
+        with pytest.raises(ValueError, match="threads >= 1"):
+            observation_sweep(blob_factory, make_classifier("masc"), 3, [4], 1, 0,
+                              threads=threads)
 
 
 class TestSessionProtocols:
@@ -389,6 +397,50 @@ def test_graph_decisions_ignore_an_affine_map_of_the_rows(per_class):
                 np.testing.assert_allclose(got.scores, base.scores, rtol=1e-12, atol=0)
 
 
+def _duplicate_queries(per_class):
+    """Three classes of ``per_class`` rows in d = 8, each drawn with
+    repetition from its own rows and four rows every class holds, and four
+    20-row queries that repeat their own rows and copy gallery rows."""
+    rng = np.random.default_rng(per_class)
+    centres = 1.5 * rng.normal(size=(3, 8))
+    shared = rng.normal(size=(4, 8)) + centres.mean(axis=0)
+    pools = [np.vstack([rng.normal(size=(per_class // 2, 8)) + c, shared]) for c in centres]
+    train = [pool[rng.integers(0, len(pool), size=per_class)] for pool in pools]
+    queries = []
+    for cls in (0, 1, 2, 1):
+        own = rng.normal(size=(6, 8)) + centres[cls]
+        copies = train[cls][rng.integers(0, per_class, size=4)]
+        rows = np.vstack([own, copies, shared[:2]])
+        queries.append(rows[rng.integers(0, len(rows), size=20)])
+    return train, queries
+
+
+@pytest.mark.parametrize("per_class", [20, 70, 100], ids=["l=60", "l=210", "l=300"])
+def test_graph_decisions_on_galleries_with_duplicate_rows_match_the_oracles(per_class):
+    # l = 60 (n = 80) is below the GEMM filter's and the CG solve's
+    # crossovers, l = 210 (n = 230) above the first only and l = 300
+    # (n = 320) above both; rows repeat within a class, across classes and
+    # between the gallery and the observations, so distances tie exactly
+    m = 20
+    assert 3 * 20 < graph._FILTER_MIN_L <= 3 * 70
+    assert 3 * 70 + m < labelprop._CG_MIN_N <= 3 * 100 + m
+    train, queries = _duplicate_queries(per_class)
+    Y_l = one_hot_labels(np.repeat([1, 2, 3], per_class), 3)
+    for obs in queries:
+        g = reference_knn_graph(np.vstack(train + [obs]), GraphConfig())
+        res = masc_classify(g.S, Y_l, m)
+        votes = reference_lp_votes(g.S, Y_l, m)
+        best = int(np.argmax(votes))
+        want = {"masc": (res.decision, res.tie, tuple(float(v) for v in res.scores)),
+                "lp": (best + 1, int(np.count_nonzero(votes == votes[best])) > 1,
+                       tuple(float(v) / m for v in votes))}
+        for name in ("masc", "lp"):
+            classify = make_classifier(name)
+            classify([ts + 0.5 for ts in train], obs)  # evicts train: the next call is cold
+            for got in (classify(train, obs), classify(train, obs)):  # cold, then warm
+                assert (got.decision, got.tie, got.scores) == want[name], name
+
+
 def test_kld_energy_cutoff_one_on_sets_no_larger_than_d():
     # 20 rows in d = 37: the sample covariance has rank 19, so all of its
     # energy is reached by 19 directions and the fill keeps the model full rank
@@ -405,15 +457,3 @@ def test_kld_energy_cutoff_one_on_sets_no_larger_than_d():
 def test_unknown_classifier_rejected():
     with pytest.raises(ValueError, match="unknown classifier"):
         make_classifier("svm")
-
-
-def test_resolve_threads(monkeypatch):
-    monkeypatch.setenv("MSC_THREADS", "3")
-    assert resolve_threads() == 3
-    monkeypatch.setenv("MSC_THREADS", "0")
-    assert resolve_threads() >= 1
-    monkeypatch.delenv("MSC_THREADS")
-    assert resolve_threads() >= 1
-    monkeypatch.setenv("MSC_THREADS", "zebra")
-    with pytest.raises(ValueError):
-        resolve_threads()
