@@ -271,54 +271,71 @@ def vectorize(pattern) -> np.ndarray:
     return np.asarray(pattern, dtype=float).reshape(-1, order="F")
 
 
+def _rotate(pattern, thetas) -> np.ndarray:
+    """:func:`rotate_pattern` of one raster by every angle in ``thetas``, in
+    broadcast passes of a block of angles, stacked (k, h, w); each rotation
+    is bitwise what that angle alone gives."""
+    p = np.asarray(pattern, dtype=float)
+    if p.ndim != 2 or p.shape[0] < 2 or p.shape[1] < 2:
+        raise ValueError("pattern must be a 2-D grid of size at least 2x2")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("pattern intensities must be finite")
+    trig = []
+    for theta in thetas:
+        if not abs(theta) <= 180.0:
+            raise ValueError(f"|theta| must be <= 180, got {theta}")
+        rad = math.radians(theta)
+        cos, sin = math.cos(rad), math.sin(rad)
+        # snap so lattice-aligned rotations are exact permutations
+        if abs(cos) < 1e-14:
+            cos = 0.0
+        if abs(sin) < 1e-14:
+            sin = 0.0
+        if abs(abs(cos) - 1.0) < 1e-14:
+            cos = math.copysign(1.0, cos)
+        if abs(abs(sin) - 1.0) < 1e-14:
+            sin = math.copysign(1.0, sin)
+        trig.append((cos, sin))
+    h, w = p.shape
+    rc, cc = (h - 1) / 2.0, (w - 1) / 2.0
+    rows, cols = np.indices((h, w), dtype=float)
+    y = rows - rc
+    x = cols - cc
+    padded = np.zeros((h + 2, w + 2))
+    padded[1:-1, 1:-1] = p
+    out = np.empty((len(trig), h, w))
+    # 4096 pixels a pass keep the temporaries at 32 KB, in cache and on the
+    # heap; a whole set's would be mapped and faulted in anew at every draw
+    step = max(1, 4096 // p.size)
+    for i in range(0, len(trig), step):
+        cos, sin = np.array(trig[i:i + step]).T.reshape(2, -1, 1, 1)
+        # inverse map: source position that lands on (y, x) under rotation by theta
+        ys = cos * y + sin * x + rc
+        xs = -sin * y + cos * x + cc
+        r0 = np.floor(ys).astype(int)
+        c0 = np.floor(xs).astype(int)
+        dr = ys - r0
+        dc = xs - c0
+        rp = np.clip(r0 + 1, 0, h + 1)
+        cp = np.clip(c0 + 1, 0, w + 1)
+        rp1 = np.clip(r0 + 2, 0, h + 1)
+        cp1 = np.clip(c0 + 2, 0, w + 1)
+        out[i:i + step] = (
+            (1.0 - dr) * (1.0 - dc) * padded[rp, cp]
+            + (1.0 - dr) * dc * padded[rp, cp1]
+            + dr * (1.0 - dc) * padded[rp1, cp]
+            + dr * dc * padded[rp1, cp1]
+        )
+    return out
+
+
 def rotate_pattern(pattern, theta: float) -> np.ndarray:
     """Rotate a raster by ``theta`` degrees about the grid center.
 
     Bilinear interpolation, zero fill outside the original support. Rotations
     that are exact multiples of 90 degrees reduce to index permutations.
     """
-    p = np.asarray(pattern, dtype=float)
-    if p.ndim != 2 or p.shape[0] < 2 or p.shape[1] < 2:
-        raise ValueError("pattern must be a 2-D grid of size at least 2x2")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("pattern intensities must be finite")
-    if not abs(theta) <= 180.0:
-        raise ValueError(f"|theta| must be <= 180, got {theta}")
-    h, w = p.shape
-    rad = math.radians(theta)
-    cos, sin = math.cos(rad), math.sin(rad)
-    # snap so lattice-aligned rotations are exact permutations
-    if abs(cos) < 1e-14:
-        cos = 0.0
-    if abs(sin) < 1e-14:
-        sin = 0.0
-    if abs(abs(cos) - 1.0) < 1e-14:
-        cos = math.copysign(1.0, cos)
-    if abs(abs(sin) - 1.0) < 1e-14:
-        sin = math.copysign(1.0, sin)
-    rc, cc = (h - 1) / 2.0, (w - 1) / 2.0
-    rows, cols = np.indices((h, w), dtype=float)
-    y = rows - rc
-    x = cols - cc
-    # inverse map: source position that lands on (y, x) under rotation by theta
-    ys = cos * y + sin * x + rc
-    xs = -sin * y + cos * x + cc
-    r0 = np.floor(ys).astype(int)
-    c0 = np.floor(xs).astype(int)
-    dr = ys - r0
-    dc = xs - c0
-    padded = np.zeros((h + 2, w + 2))
-    padded[1:-1, 1:-1] = p
-    rp = np.clip(r0 + 1, 0, h + 1)
-    cp = np.clip(c0 + 1, 0, w + 1)
-    rp1 = np.clip(r0 + 2, 0, h + 1)
-    cp1 = np.clip(c0 + 2, 0, w + 1)
-    return (
-        (1.0 - dr) * (1.0 - dc) * padded[rp, cp]
-        + (1.0 - dr) * dc * padded[rp, cp1]
-        + dr * (1.0 - dc) * padded[rp1, cp]
-        + dr * dc * padded[rp1, cp1]
-    )
+    return _rotate(pattern, [theta])[0]
 
 
 def draw_distinct_angles(rng, m: int, theta_range) -> list[float]:
@@ -332,25 +349,25 @@ def draw_distinct_angles(rng, m: int, theta_range) -> list[float]:
         raise ValueError("m >= 1 required")
     if lo > hi:
         raise ValueError(f"empty angle range [{lo}, {hi}]")
-    angles: list[float] = []
+    angles: dict[float, None] = {}  # insertion-ordered set
     misses = 0
     while len(angles) < m:
         a = float(rng.uniform(lo, hi))
-        if any(a == b for b in angles):
+        if a in angles:
             misses += 1
             if misses >= _ANGLE_RETRY_CAP:
                 raise ValueError(
                     f"could not draw {m} pairwise distinct angles in [{lo}, {hi}]"
                 )
             continue
-        angles.append(a)
-    return angles
+        angles[a] = None
+    return list(angles)
 
 
 def rotation_set(pattern, m: int, theta_range, rng):
     """m vectorized rotations of ``pattern`` at distinct uniform angles."""
     angles = draw_distinct_angles(rng, m, theta_range)
-    samples = np.stack([vectorize(rotate_pattern(pattern, a)) for a in angles])
+    samples = _rotate(pattern, angles).transpose(0, 2, 1).reshape(len(angles), -1)
     return samples, np.asarray(angles)
 
 
@@ -364,10 +381,9 @@ def augment_virtual_samples(labeled, angles):
         raise ValueError("angles nonempty required")
     samples, classes = [], []
     for pattern, cls in labeled:
-        for a in angles:
-            samples.append(vectorize(rotate_pattern(pattern, a)))
-            classes.append(int(cls))
-    return np.asarray(samples), np.asarray(classes, dtype=int)
+        samples.append(_rotate(pattern, angles).transpose(0, 2, 1).reshape(len(angles), -1))
+        classes += [int(cls)] * len(angles)
+    return np.concatenate(samples), np.asarray(classes, dtype=int)
 
 
 def resample_set(samples, r: int):

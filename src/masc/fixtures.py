@@ -16,6 +16,11 @@ from .data import Dataset, augment_virtual_samples, rotation_set, vectorize
 FIXTURES = ("rotated-rasters", "curved-manifolds")
 
 
+def _check_class_id(class_id: int, classes: int) -> None:
+    if not 1 <= class_id <= classes:
+        raise ValueError(f"class id {class_id} outside 1..{classes}")
+
+
 # The digit experiment's fixed problem: 16 x 16 rasters, two labelled noisy
 # variants per class, each augmented by one virtual sample per angle, and
 # observation sets rotated by distinct uniform angles in the theta range.
@@ -94,6 +99,7 @@ class RotatedRasterFixture:
 
     def make_instance(self, class_id: int, m: int, rng):
         """(train_sets, observations) with observations drawn from ``class_id``."""
+        _check_class_id(class_id, self.config.classes)
         test_pattern = self._variant(self.bases[class_id - 1], rng)
         obs, _ = rotation_set(test_pattern, m, _THETA_RANGE, rng)
         return self._train_sets, obs
@@ -164,6 +170,7 @@ class CurvedManifoldFixture:
 
     def curve(self, class_id: int, ts) -> np.ndarray:
         """Noise-free curve points for parameters ts in [0, 1]."""
+        _check_class_id(class_id, _MANIFOLD_CLASSES)
         i = class_id - 1
         ts = np.asarray(ts, dtype=float)
         phase = 2.0 * np.pi * _FREQUENCY * ts + _PHASES[i]

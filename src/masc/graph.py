@@ -82,6 +82,7 @@ _WINDOWS = 8  # sigma windows a gallery keeps, the most recently used
 # less than the estimate and the recomputation (measured crossover).
 _FILTER_MIN_L = 200
 _U = np.finfo(float).eps / 2  # unit roundoff
+_OVERFLOW = "a node's k-th nearest squared distance overflows"
 
 
 @dataclass(frozen=True)
@@ -217,10 +218,11 @@ class GalleryIndex:
                 xn = np.einsum("ij,ij->i", Xc, Xc)
                 return mean, Xc, xn, math.sqrt(xn.max())
 
-            mean, Xc, xn, R = self._part("centred", centre)
-            A = obs - mean
-            an = np.einsum("ij,ij->i", A, A)
-            with np.errstate(over="ignore"):  # an inf s² takes the cdist block
+            # rows near overflow read inf or NaN here and take the cdist block
+            with np.errstate(over="ignore", invalid="ignore"):
+                mean, Xc, xn, R = self._part("centred", centre)
+                A = obs - mean
+                an = np.einsum("ij,ij->i", A, A)
                 s2 = np.square(np.sqrt(an) + R)
             if s2.max() < 2.0 ** 1000:
                 G = A @ Xc.T
@@ -287,10 +289,14 @@ def _k_smallest(rows, cols, vals, nrows: int, k: int) -> tuple[np.ndarray, np.nd
     other rows; a merged gallery row holds its k cached neighbours plus at
     least one observation, or, with a list shorter than k, all n - 1 >= k
     other nodes; and an observation row has at least k values up to its
-    bound t.
+    bound t. Only a squared distance that overflowed to inf, which no
+    strict comparison with inf admits, can leave a row short: that raises
+    DataError.
     """
     order = np.lexsort((cols, vals, rows))
     counts = np.bincount(rows, minlength=nrows)
+    if counts.min(initial=k) < k:
+        raise DataError(_OVERFLOW)
     keep = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
     return cols[keep], vals[keep]
 
@@ -321,7 +327,11 @@ def _half_median(d2, lo: int, hi: int) -> float:
         raise DataError("zero median distance")
     if median == math.inf:  # squared distances beyond the floating-point range
         raise DataError("median distance overflows")
-    return median / 2.0
+    sigma = median / 2.0
+    if not 2.0 * sigma * sigma >= np.finfo(float).tiny:  # as _check_width asks of a given one
+        raise DataError(f"the median heuristic's sigma {sigma!r} is out of range:"
+                        " 2*sigma*sigma must be a positive normal float")
+    return sigma
 
 
 def _sigma_window(gallery: GalleryIndex, m: int, take: int, seed: int) -> _SigmaWindow:
@@ -501,6 +511,11 @@ def build_knn_graph(X, config: GraphConfig = GraphConfig(),
     tails, tail_d2 = _k_smallest(np.concatenate([rows, prow]), np.concatenate([cols, l + pcol]),
                                  np.concatenate([d2, P[prow, pcol]]), m, k)
 
+    # a node is its own candidate at an infinite distance, so a list that
+    # reaches one may have picked the node itself
+    if np.isinf(head_d2).any() or np.isinf(tail_d2).any():
+        raise DataError(_OVERFLOW)
+
     # keep (i, j) if either endpoint selected the other; both directions of
     # an edge carry bitwise the same distance, so any copy will do and the
     # sort need not be stable
@@ -515,7 +530,8 @@ def build_knn_graph(X, config: GraphConfig = GraphConfig(),
     # the keys are sorted row-major, so they are H's CSR layout as they stand
     indptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
-    vals = np.exp(-d2 / (2.0 * sigma * sigma))
+    with np.errstate(over="ignore"):  # -inf, whose exp is the 0 it underflows to
+        vals = np.exp(-d2 / (2.0 * sigma * sigma))
     H = sparse.csr_matrix((vals, keys % n, indptr), shape=(n, n))
     degrees = np.asarray(H.sum(axis=1)).ravel()
     dead = np.flatnonzero(degrees == 0)

@@ -104,8 +104,12 @@ def pca_fit(X, keep: int | None = None) -> PCAFit:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValueError("need a 2-D set with at least 2 samples")
-    mean = X.mean(axis=0)
-    _, svals, Vt = np.linalg.svd(X - mean, full_matrices=False)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        mean = X.mean(axis=0)
+        centred = X - mean
+    if not np.isfinite(centred).all():
+        raise DataError("the centred set leaves the floating-point range")
+    _, svals, Vt = np.linalg.svd(centred, full_matrices=False)
     rank = int(np.count_nonzero(svals > max(X.shape) * np.finfo(float).eps * svals[0]))
     if keep is not None:
         svals, Vt = svals[:keep].copy(), Vt[:keep].copy()
@@ -151,7 +155,8 @@ def gaussian_weights(sigma: float) -> Callable[[np.ndarray], np.ndarray]:
     s2 = 2.0 * sigma * sigma
 
     def weights(d2):
-        return np.exp(-d2 / s2)
+        with np.errstate(over="ignore"):  # -inf, whose exp is the 0 it underflows to
+            return np.exp(-d2 / s2)
 
     return weights
 

@@ -40,6 +40,47 @@ def rotate_oversampled(pattern, theta_deg, factor=8):
     return out
 
 
+def reference_rotate_pattern(pattern, theta):
+    """Bilinear rotation of a raster by one angle, the per-angle arithmetic
+    the library's batched rotation must reproduce bit for bit: cos and sin
+    from ``math`` with the four lattice snaps, inverse-mapped source
+    positions, zero fill, and the four blend terms in this order."""
+    p = np.asarray(pattern, dtype=float)
+    h, w = p.shape
+    rad = math.radians(theta)
+    cos, sin = math.cos(rad), math.sin(rad)
+    if abs(cos) < 1e-14:
+        cos = 0.0
+    if abs(sin) < 1e-14:
+        sin = 0.0
+    if abs(abs(cos) - 1.0) < 1e-14:
+        cos = math.copysign(1.0, cos)
+    if abs(abs(sin) - 1.0) < 1e-14:
+        sin = math.copysign(1.0, sin)
+    rc, cc = (h - 1) / 2.0, (w - 1) / 2.0
+    rows, cols = np.indices((h, w), dtype=float)
+    y = rows - rc
+    x = cols - cc
+    ys = cos * y + sin * x + rc
+    xs = -sin * y + cos * x + cc
+    r0 = np.floor(ys).astype(int)
+    c0 = np.floor(xs).astype(int)
+    dr = ys - r0
+    dc = xs - c0
+    padded = np.zeros((h + 2, w + 2))
+    padded[1:-1, 1:-1] = p
+    rp = np.clip(r0 + 1, 0, h + 1)
+    cp = np.clip(c0 + 1, 0, w + 1)
+    rp1 = np.clip(r0 + 2, 0, h + 1)
+    cp1 = np.clip(c0 + 2, 0, w + 1)
+    return (
+        (1.0 - dr) * (1.0 - dc) * padded[rp, cp]
+        + (1.0 - dr) * dc * padded[rp, cp1]
+        + dr * (1.0 - dc) * padded[rp1, cp]
+        + dr * dc * padded[rp1, cp1]
+    )
+
+
 def smoothness_by_loops(S, M):
     """(1/2) sum_ij S_ij ||M_i - M_j||^2 with explicit Python loops."""
     S = np.asarray(S if not hasattr(S, "toarray") else S.toarray(), dtype=float)

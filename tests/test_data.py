@@ -13,6 +13,7 @@ from masc.data import (
     ParseError,
     augment_virtual_samples,
     dataset_to_csv,
+    draw_distinct_angles,
     load_dataset,
     load_gallery,
     resample_set,
@@ -22,7 +23,8 @@ from masc.data import (
     save_gallery,
     vectorize,
 )
-from oracles import rotate_oversampled
+from masc.fixtures import RotatedRasterConfig, RotatedRasterFixture
+from oracles import reference_rotate_pattern, rotate_oversampled
 
 
 def write(tmp_path, text, name="ds.csv"):
@@ -166,6 +168,95 @@ class TestRotatePattern:
             rotate_pattern(np.zeros((4, 4)), 200.0)
 
 
+class Draws:
+    """A stand-in generator whose ``uniform`` returns the given values in turn."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def uniform(self, lo, hi):
+        return next(self.values)
+
+
+def reference_rows(pattern, angles):
+    """One vectorized reference rotation per angle, one angle at a time."""
+    return np.stack([vectorize(reference_rotate_pattern(pattern, a)) for a in angles])
+
+
+EDGE_ANGLES = [0.0, -0.0, 90.0, -90.0, 180.0, -180.0, 45.0, 1e-15, 89.99999999999999]
+
+
+class TestBatchedRotationIsBitwise:
+    """Every rotation equals, byte for byte, the per-angle reference."""
+
+    @pytest.mark.parametrize("m", [1, 10, 50, 150])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_seeded_sets(self, m, seed):
+        pattern = np.random.default_rng(seed).random((16, 16))
+        samples, angles = rotation_set(pattern, m, (-40.0, 40.0), np.random.default_rng(seed))
+        assert samples.shape == (m, 256) and samples.flags.c_contiguous
+        assert samples.tobytes() == reference_rows(pattern, angles).tobytes()
+
+    @pytest.mark.parametrize("shape", [(16, 16), (5, 7), (2, 2)])
+    def test_edge_angles(self, shape):
+        pattern = np.random.default_rng(9).random(shape)
+        for a in EDGE_ANGLES:
+            want = reference_rotate_pattern(pattern, a)
+            assert rotate_pattern(pattern, a).tobytes() == want.tobytes()
+        # -0.0 collides with 0.0, so the set keeps the other eight angles
+        samples, angles = rotation_set(pattern, 8, (-180.0, 180.0), Draws(EDGE_ANGLES))
+        assert list(angles) == EDGE_ANGLES[:1] + EDGE_ANGLES[2:]
+        assert samples.tobytes() == reference_rows(pattern, angles).tobytes()
+        labeled = [(pattern, 2), (pattern[::-1], 1)]
+        samples, classes = augment_virtual_samples(labeled, EDGE_ANGLES)
+        expected = np.vstack([reference_rows(p, EDGE_ANGLES) for p, _ in labeled])
+        assert samples.tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(classes, np.repeat([2, 1], len(EDGE_ANGLES)))
+
+    def test_fixture_virtual_samples(self):
+        fix = RotatedRasterFixture(RotatedRasterConfig(classes=4, seed=5))
+        patterns = [row.reshape((16, 16), order="F") for row in fix.labeled]
+        expected = np.vstack([reference_rows(p, [-40.0, 40.0]) for p in patterns])
+        assert fix.virtual.tobytes() == expected.tobytes()
+
+
+_GOOD = np.ones((4, 4))
+_NAN_PATTERN = np.ones((4, 4))
+_NAN_PATTERN[1, 2] = np.nan
+_INF_PATTERN = np.ones((4, 4))
+_INF_PATTERN[0, 0] = np.inf
+BAD_ROTATIONS = [
+    pytest.param(_GOOD, [math.nan], "180", id="nan-angle"),
+    pytest.param(_GOOD, [10.0, 200.0], "180", id="angle-out-of-range-last"),
+    pytest.param(_GOOD, [-180.5, 10.0], "180", id="angle-out-of-range-first"),
+    pytest.param(_GOOD, [10.0, math.inf], "180", id="infinite-angle"),
+    pytest.param(_NAN_PATTERN, [10.0], "finite", id="nan-pattern"),
+    pytest.param(_INF_PATTERN, [10.0], "finite", id="inf-pattern"),
+    pytest.param(np.ones((1, 5)), [10.0], "2x2", id="1xn-pattern"),
+    pytest.param(np.ones((5, 1)), [10.0], "2x2", id="nx1-pattern"),
+    pytest.param(np.ones(5), [10.0], "2x2", id="1-d-pattern"),
+]
+
+
+@pytest.mark.parametrize("pattern,angles,message", BAD_ROTATIONS)
+def test_rotate_pattern_rejects(pattern, angles, message):
+    with pytest.raises(ValueError, match=message):
+        for a in angles:
+            rotate_pattern(pattern, a)
+
+
+@pytest.mark.parametrize("pattern,angles,message", BAD_ROTATIONS)
+def test_augment_virtual_samples_rejects(pattern, angles, message):
+    with pytest.raises(ValueError, match=message):
+        augment_virtual_samples([(_GOOD, 1), (pattern, 2)], angles)
+
+
+@pytest.mark.parametrize("pattern,angles,message", BAD_ROTATIONS)
+def test_rotation_set_rejects(pattern, angles, message):
+    with pytest.raises(ValueError, match=message):
+        rotation_set(pattern, len(angles), (-180.0, 180.0), Draws(angles))
+
+
 def test_vectorize_round_trip():
     rng = np.random.default_rng(3)
     p = rng.random((5, 7))
@@ -194,12 +285,20 @@ class TestGenerateObservationSet:
     def test_spread_and_bounds(self):
         p = np.random.default_rng(5).random((8, 8))
         rng = np.random.default_rng(0)
-        from masc.data import draw_distinct_angles
-
         angles = np.asarray(draw_distinct_angles(rng, 150, (-40.0, 40.0)))
         assert angles.min() >= -40.0 and angles.max() <= 40.0
         assert angles.max() - angles.min() >= 60.0
         assert len(np.unique(angles)) == 150
+
+    def test_draws_one_scalar_per_try(self):
+        # without collisions the angles are the generator's first m scalars
+        expected = np.random.default_rng(3)
+        angles = draw_distinct_angles(np.random.default_rng(3), 50, (-40.0, 40.0))
+        assert angles == [float(expected.uniform(-40.0, 40.0)) for _ in range(50)]
+
+    def test_redraws_exact_collisions(self):
+        draws = Draws([1.5, 1.5, -0.0, 0.0, 2.5, 1.5, 0.25])
+        assert draw_distinct_angles(draws, 4, (-40.0, 40.0)) == [1.5, -0.0, 2.5, 0.25]
 
     def test_collision_cap(self):
         p = np.zeros((3, 3))
@@ -231,6 +330,10 @@ class TestAugmentVirtualSamples:
     def test_empty_angles_rejected(self):
         with pytest.raises(ValueError):
             augment_virtual_samples([(np.zeros((3, 3)), 1)], [])
+
+    def test_no_patterns_rejected(self):
+        with pytest.raises(ValueError):
+            augment_virtual_samples([], [10.0])
 
 
 class TestResample:

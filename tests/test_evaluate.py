@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -452,6 +453,72 @@ def test_kld_energy_cutoff_one_on_sets_no_larger_than_d():
         dec = classify(train, obs)
         assert dec.decision == p + 1
         assert all(np.isfinite(dec.scores))
+
+
+def _decides_or_rejects(name, train, obs, **params):
+    """Classify one query cold, then warm: either a Decision with one finite
+    score per class, whose decision and tie follow from the scores, or a
+    DataError or ValueError, the same both times. Any other exception, or
+    a RuntimeWarning, fails."""
+    best = min if name in ("masc", "kld") else max
+    outcomes = []
+    for _ in range(2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                got = make_classifier(name, **params)(train, obs)
+            except ValueError as exc:  # DataError included
+                outcomes.append((type(exc), str(exc)))
+                continue
+        assert isinstance(got, Decision)
+        scores = np.asarray(got.scores)
+        assert scores.shape == (len(train),) and np.isfinite(scores).all(), name
+        top = best(got.scores)
+        assert got.scores[got.decision - 1] == top, name
+        assert got.tie == (np.count_nonzero(scores == top) > 1), name
+        outcomes.append(got)
+    assert outcomes[0] == outcomes[1], name
+
+
+# Rows a small degenerate gallery is made of: duplicates (the pool is small),
+# values near the bottom and the top of the float range, whose squares or
+# sums overflow, and an offset far larger than the spread.
+_ODD_VALUES = st.sampled_from([0.0, 1.0, -1.0, 2.5, 1e-8, 1e-300, 5e-324, 1e150, -1e150,
+                               1e154, 1e300, 1.7e308, -1.7e308, 3e-162, 1e8, 1e8 + 1.0])
+
+
+@given(c=st.integers(2, 3), d=st.integers(1, 4), k=st.integers(1, 6),
+       sigma=st.sampled_from([None, None, 1e-3, 0.5, 50.0]),
+       sigma_kernel=st.sampled_from([None, None, 1e-3, 0.5, 50.0]), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_every_classifier_decides_or_rejects_small_degenerate_queries(c, d, k, sigma,
+                                                                      sigma_kernel, data):
+    rows = st.lists(st.lists(_ODD_VALUES, min_size=d, max_size=d), min_size=1, max_size=5)
+    train = [np.array(data.draw(rows, label=f"class {p}")) for p in range(1, c + 1)]
+    obs = np.array(data.draw(rows, label="observations"))
+    for name in CLASSIFIERS:
+        _decides_or_rejects(name, train, obs, k=k, sigma=sigma, sigma_kernel=sigma_kernel)
+
+
+@pytest.mark.parametrize("name", CLASSIFIERS)
+@pytest.mark.parametrize("train,obs,k", [
+    # a squared distance overflows: a gallery row's k-NN list came up short
+    pytest.param([[[0.0]], [[0.0]]], [[0.0], [0.0], [1.0], [1e300]], 5, id="inf-distance"),
+    # a finite squared distance over a tiny median width overflows to -inf
+    pytest.param([[[0.0]], [[1e150]]], [[0.0], [0.0], [1e-8]], 1, id="weight-exponent"),
+    # the observations' sum overflows in their mean
+    pytest.param([[[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]] * 2,
+                 [[0.0, 0.0, 0.0], [1.7e308, 0.0, 0.0], [1.7e308, 0.0, 0.0]], 1, id="mean"),
+    # centring overflows although the mean does not
+    pytest.param([[[0.0], [1.0]]] * 2, [[1.7e308], [-1.7e308], [-1.7e308]], 1, id="centring"),
+    # half the median distance squares to a subnormal: no weight is exact
+    pytest.param([[[0.0]], [[0.0]]], [[0.0], [3e-162]], 1, id="subnormal-width"),
+    # a kernel exponent overflows to -inf
+    pytest.param([[[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]] * 2,
+                 [[0.0, 0.0, 0.0], [0.0, 0.0, 1e154]], 1, id="kernel-exponent"),
+])
+def test_queries_the_property_test_found(name, train, obs, k):
+    _decides_or_rejects(name, [np.array(ts) for ts in train], np.array(obs), k=k)
 
 
 def test_unknown_classifier_rejected():

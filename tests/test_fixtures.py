@@ -87,6 +87,24 @@ class TestCurvedManifoldFixture:
         assert span < 0.55 * full_span
 
 
+@pytest.mark.parametrize("class_id", [0, -1, 11])
+def test_raster_class_id_outside_the_classes_is_rejected(class_id):
+    fix = RotatedRasterFixture(RotatedRasterConfig(classes=10, seed=0))
+    for make in (fix.make_instance, fix.make_dataset):
+        with pytest.raises(ValueError, match=f"class id {class_id} outside 1..10"):
+            make(class_id, 5, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("class_id", [0, -1, 4])
+def test_manifold_class_id_outside_the_classes_is_rejected(class_id):
+    fix = CurvedManifoldFixture(CurvedManifoldConfig(seed=0))
+    for make in (fix.make_instance, fix.make_dataset):
+        with pytest.raises(ValueError, match=f"class id {class_id} outside 1..3"):
+            make(class_id, 5, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="outside 1..3"):
+        fix.curve(class_id, [0.5])
+
+
 def test_make_fixture_dispatch():
     assert make_fixture("rotated-rasters", classes=4, seed=1).classes == 4
     assert make_fixture("curved-manifolds", seed=1).classes == 3
