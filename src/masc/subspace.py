@@ -175,13 +175,44 @@ def gaussian_kernel(sigma: float) -> Callable[[np.ndarray, np.ndarray], np.ndarr
     return kernel
 
 
-def kpca_gram(K, q: int) -> KernelFit:
-    """Kernel PCA of one set from its n x n Gram matrix ``K``: the
-    eigendecomposition of the double-centered kernel.
+def _rank_floor(K, lam_max: float) -> float:
+    """:func:`kpca_gram`'s rank floor for the n x n Gram ``K`` whose centered
+    matrix has the largest eigenvalue ``lam_max``."""
+    n = K.shape[0]
+    eps = np.finfo(float).eps
+    return n * eps * (max(lam_max, 0.0) + 2 * (n + 7) * float(np.abs(K).max()))
 
-    Coefficients are scaled by 1/sqrt(eigenvalue) so the mapped basis is
-    orthonormal in feature space. A set whose centered kernel matrix has
-    fewer than q positive eigenvalues raises :class:`DataError`.
+
+def kpca_gram(K, q: int) -> KernelFit:
+    """Kernel PCA of one set from its n x n Gram matrix ``K``: the q leading
+    eigenpairs of the double-centered kernel.
+
+    Only those q pairs are computed, by LAPACK's selected-eigenpair solver
+    (``subset_by_index``); the top one is lambda_max, which the rank floor
+    needs. Where that solver finds fewer than q pairs or fails, as it can
+    when q splits a cluster of exactly equal eigenvalues, all n are computed
+    and the top q kept, the remedy LAPACK documents. Coefficients are scaled
+    by 1/sqrt(eigenvalue) so the mapped basis is orthonormal in feature
+    space.
+
+    A set whose centered kernel matrix has fewer than q eigenvalues above
+    the rank floor n·eps·(lambda_max + 2(n + 7)·max|K|) raises
+    :class:`DataError`. The floor bounds, to first order, how far rounding
+    can lift an eigenvalue that is 0 in exact arithmetic, as it is for a set
+    of r distinct rows at q >= r:
+
+    - centring: with u = eps/2, each column mean, summed in order, is off
+      by at most n·u·max|K|, the pairwise-summed grand mean by at most
+      (n + 16)·u·max|K|, and the three subtractions and the symmetrization
+      add 13·u·max|K|. So every entry is off by at most (3n + 29)·u·max|K|
+      <= 2(n + 7)·eps·max|K|, and the matrix, in the 2-norm, by n times
+      that. This term follows the kernel's scale, not lambda_max: under a
+      wide kernel every entry is near 1 while the centered matrix is tiny.
+    - the eigensolver: backward stable, its eigenvalues move by at most a
+      modest multiple of eps·lambda_max, taken as n·eps·lambda_max.
+
+    On random sets of repeated rows the spurious eigenvalues of both the
+    full and the subset solve stay below a twentieth of the floor.
     """
     n = K.shape[0]
     if not 1 <= q <= n - 1:
@@ -190,10 +221,17 @@ def kpca_gram(K, q: int) -> KernelFit:
     grand = float(K.mean())
     Kc = K - col_means[None, :] - col_means[:, None] + grand
     Kc = 0.5 * (Kc + Kc.T)
-    vals, vecs = scipy.linalg.eigh(Kc)
-    floor = n * np.finfo(float).eps * max(float(vals[-1]), 0.0)
-    vals = vals[::-1][:q]
-    vecs = vecs[:, ::-1][:, :q]
+    try:
+        vals, vecs = scipy.linalg.eigh(Kc, subset_by_index=[n - q, n - 1])
+    except np.linalg.LinAlgError:
+        vals = ()
+    if len(vals) < q:
+        # e.g. the centred identity, the Gram of a set whose kernel values
+        # all underflow to 0, at n = 8 and q = 1
+        vals, vecs = scipy.linalg.eigh(Kc)
+        vals, vecs = vals[n - q:], vecs[:, n - q:]
+    floor = _rank_floor(K, float(vals[-1]))
+    vals, vecs = vals[::-1], vecs[:, ::-1]
     if np.any(vals <= floor):
         raise DataError(f"non-positive retained kernel eigenvalue (q={q} too large)")
     coeffs = _fix_signs(vecs) / np.sqrt(vals)[None, :]

@@ -173,8 +173,12 @@ def brute_force_neighbors(X, k):
 
 
 def reference_sigma(X, config):
-    """Half the median of scipy's Euclidean distances over the seeded subsample."""
+    """Half the median of scipy's Euclidean distances over the seeded
+    subsample, rejected with the library's DataError when the median is 0
+    or inf or when 2 sigma² is not a positive normal float."""
     from scipy.spatial.distance import pdist
+
+    from masc.data import DataError
 
     X = np.asarray(X, dtype=float)
     rng = np.random.default_rng(config.sigma_seed)
@@ -182,8 +186,14 @@ def reference_sigma(X, config):
     idx = rng.choice(X.shape[0], size=take, replace=False)
     median = float(np.median(pdist(X[idx])))
     if median == 0.0:
-        raise ValueError("zero median distance")
-    return median / 2.0
+        raise DataError("zero median distance")
+    if median == math.inf:
+        raise DataError("median distance overflows")
+    sigma = median / 2.0
+    if not 2.0 * sigma * sigma >= np.finfo(float).tiny:
+        raise DataError(f"the median heuristic's sigma {sigma!r} is out of range:"
+                        " 2*sigma*sigma must be a positive normal float")
+    return sigma
 
 
 def reference_knn_graph(X, config):
@@ -191,10 +201,13 @@ def reference_knn_graph(X, config):
     per-row k-th smallest by partition, boundary ties trimmed to the smaller
     indices. H is assembled from COO triplets and S by sparse products with
     the diagonal matrix D^-1/2, its strict upper triangle mirrored below the
-    diagonal so S is exactly symmetric."""
+    diagonal so S is exactly symmetric. A row whose k-th smallest distance
+    overflowed to inf, where its own infinite diagonal would become a
+    candidate, raises the library's DataError."""
     from scipy import sparse
     from scipy.spatial.distance import pdist, squareform
 
+    from masc.data import DataError
     from masc.graph import SimilarityGraph
 
     X = np.asarray(X, dtype=float)
@@ -204,6 +217,8 @@ def reference_knn_graph(X, config):
     d2 = squareform(pdist(X, "sqeuclidean"))
     np.fill_diagonal(d2, np.inf)
     kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
+    if np.isinf(kth).any():
+        raise DataError("a node's k-th nearest squared distance overflows")
     adj = d2 <= kth[:, None]
     for i in np.flatnonzero(adj.sum(axis=1) != k):
         cand = np.flatnonzero(adj[i])
@@ -249,6 +264,37 @@ def random_graph_instance(rng, n_max=30, c_max=5, d=4):
     g = build_knn_graph(X, GraphConfig(k=k, sigma=sigma))
     labels = rng.integers(1, c + 1, size=l)
     return g.S, one_hot_labels(labels, c), l, m, c
+
+
+def reference_kpca_gram(K, q):
+    """Kernel PCA of one set from its Gram matrix by a full ``eigh`` of the
+    double-centred kernel, of which the q leading pairs are kept, with the
+    largest-magnitude entry of each eigenvector made positive. It applies
+    the library's rank floor, n·eps·(lambda_max + 2(n + 7)·max|K|), and
+    raises its DataError, so the full and the selected-eigenpair solve
+    reject the same thin sets. Returns a ``KernelFit``."""
+    import scipy.linalg
+
+    from masc.data import DataError
+    from masc.subspace import KernelFit
+
+    K = np.asarray(K, dtype=float)
+    n = K.shape[0]
+    if not 1 <= q <= n - 1:
+        raise ValueError(f"q must be in 1..{n - 1} for a set of {n} samples, got {q}")
+    col_means = K.mean(axis=0)
+    grand = float(K.mean())
+    Kc = K - col_means[None, :] - col_means[:, None] + grand
+    vals, vecs = scipy.linalg.eigh(0.5 * (Kc + Kc.T))
+    eps = np.finfo(float).eps
+    floor = n * eps * (max(float(vals[-1]), 0.0) + 2 * (n + 7) * float(np.abs(K).max()))
+    vals, vecs = vals[::-1][:q], vecs[:, ::-1][:, :q]
+    if np.any(vals <= floor):
+        raise DataError(f"non-positive retained kernel eigenvalue (q={q} too large)")
+    lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(q)]
+    vecs = vecs * np.where(lead < 0, -1.0, 1.0)
+    return KernelFit(coeffs=vecs / np.sqrt(vals), col_means=col_means, grand_mean=grand,
+                     eigenvalues=vals)
 
 
 def reference_lp_votes(S, Y_l, m, mu=1.0):

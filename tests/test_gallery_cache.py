@@ -40,11 +40,19 @@ from masc.graph import (
 from masc.labelprop import LPConfig, row_labels
 from masc.smoothing import masc_classify, one_hot_labels
 from masc.statdist import fit_gaussian, kl_gaussian
-from masc.subspace import gaussian_kernel, kmsm_similarity, kpca_subspace, msm_similarity, pca_subspace
+from masc.subspace import (
+    KernelSubspace,
+    gaussian_kernel,
+    kmsm_similarity,
+    kpca_gram,
+    msm_similarity,
+    pca_subspace,
+)
 from oracles import (
     reference_fit_gaussian,
     reference_kl_gaussian,
     reference_knn_graph,
+    reference_kpca_gram,
     reference_sigma,
 )
 
@@ -476,11 +484,11 @@ def _decision(scores, minimise, shown=None):
                     scores.count(best) > 1)
 
 
-def reference_decision(name, train_sets, obs, k=5, q=9, sigma_kernel=None):
+def reference_decision(name, train_sets, obs, k=5, q=9, sigma_kernel=None, kpca_fit=kpca_gram):
     """The classifier's decision with nothing reused: the dense graph, the
     old closed-form LP expression, and fresh fits per call, with msm's rank
     and dimension caps (see ``make_classifier``) taken from numpy's
-    ``matrix_rank``."""
+    ``matrix_rank``. kmsm fits each set's Gram with ``kpca_fit``."""
     sets = [np.asarray(ts, dtype=float) for ts in train_sets]
     obs = np.asarray(obs, dtype=float)
     c, m = len(sets), obs.shape[0]
@@ -520,8 +528,12 @@ def reference_decision(name, train_sets, obs, k=5, q=9, sigma_kernel=None):
         if sigma is None:
             sigma = reference_sigma(np.vstack(sets + [obs]), config)
         kernel = gaussian_kernel(sigma)
-        test = kpca_subspace(obs, q_eff, kernel=kernel)
-        sims = [kmsm_similarity(kpca_subspace(ts, q_eff, kernel=kernel), test) for ts in sets]
+
+        def subspace_of(X):
+            return KernelSubspace(samples=X, kernel=kernel, **vars(kpca_fit(kernel(X, X), q_eff)))
+
+        test = subspace_of(obs)
+        sims = [kmsm_similarity(subspace_of(ts), test) for ts in sets]
     return _decision(sims, False)
 
 
@@ -784,3 +796,55 @@ def test_a_warm_kmsm_query_computes_each_distance_once(monkeypatch):
         # one m x l block and the observations' own distances, nothing else
         assert calls == [("cdist", (12, 240)), ("pdist", (66,))]
         del calls[:]
+
+
+# -- kmsm's kernel fits -------------------------------------------------------
+
+# kmsm solves for its q leading kernel eigenpairs alone, the full-eigh
+# oracle for all n, so their scores differ in the last digits: by 4e-12
+# relative at most on these queries (m = 10 on the l = 1000 gallery), which
+# this bound exceeds a hundredfold for other LAPACK builds
+KMSM_ORACLE_RTOL = 1e-9
+
+
+def kmsm_oracle_queries():
+    """The fixtures' queries, an l = 1000 gallery of 100-row classes, small
+    galleries with duplicate rows, and a gallery whose first two classes
+    are the same rows."""
+    fixture = RotatedRasterFixture(RotatedRasterConfig(seed=0))
+    big = fixture.gallery(100, np.random.default_rng(1))
+    out = raster_queries() + manifold_queries() + [
+        (big, fixture.make_instance(cls, m, np.random.default_rng([cls, m]))[1])
+        for cls, m in ((1, 10), (4, 150))]
+    rng = np.random.default_rng(31)
+    for sizes in ((12, 9, 15), (6, 20, 8, 11)):
+        out.append(([random_set(rng, n, 5, True) for n in sizes], random_set(rng, 10, 5, True)))
+    train, obs = manifold_queries()[1]
+    out.append(([train[1], train[1].copy(), train[0]], obs))
+    return out
+
+
+@pytest.mark.parametrize("sigma_kernel", [None, 2.0])
+@pytest.mark.parametrize("q", [3, 9])
+def test_kmsm_decisions_match_the_full_eigh_oracle_cold_and_warm(q, sigma_kernel):
+    classify = make_classifier("kmsm", q=q, sigma_kernel=sigma_kernel)
+    ties = rejected = 0
+    for train, obs in kmsm_oracle_queries():
+        try:
+            want = reference_decision("kmsm", train, obs, q=q, sigma_kernel=sigma_kernel,
+                                      kpca_fit=reference_kpca_gram)
+        except DataError as exc:  # a set too thin for q: both solves reject it
+            with pytest.raises(DataError, match=re.escape(str(exc))):
+                classify(train, obs)
+            rejected += 1
+            continue
+        classify([ts + 0.5 for ts in train], obs)  # evicts train: the next call is cold
+        for got in (classify(train, obs), classify(train, obs)):
+            assert (got.decision, got.tie) == (want.decision, want.tie)
+            np.testing.assert_allclose(got.scores, want.scores, rtol=KMSM_ORACLE_RTOL, atol=0)
+        ties += got.tie
+        if got.tie:  # identical classes score exactly alike on both paths
+            assert got.scores[0] == got.scores[1] and want.scores[0] == want.scores[1]
+    # the identical classes tie; at q = 3 one duplicate gallery is scored
+    # and one holds a class of three distinct rows, rank 2 once centred
+    assert (ties, rejected) == (1, 1 if q == 3 else 2)

@@ -14,7 +14,7 @@ from masc.graph import (
     estimate_sigma,
     normalize_similarity,
 )
-from oracles import brute_force_neighbors
+from oracles import brute_force_neighbors, reference_knn_graph, reference_sigma
 
 
 class TestEstimateSigma:
@@ -218,3 +218,37 @@ def test_estimate_gives_way_to_the_block_near_overflow(monkeypatch):
     cross = GalleryIndex(X).cross(X[:4] * 0.5)
     assert not cross.e.any()
     assert cross.G.tobytes() == cdist(X[:4] * 0.5, X, "sqeuclidean").tobytes()
+
+
+def _same_error(library, reference):
+    """Both calls raise; the reference raises the library's type and message."""
+    with pytest.raises(ValueError) as want:
+        library()
+    with pytest.raises(ValueError) as got:
+        reference()
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+    return want.value
+
+
+@pytest.mark.parametrize("X", [
+    [[0.0], [3e-162]],  # 2 sigma² subnormal
+    [[0.0], [1e-170], [2e-170]],  # 2 sigma² underflows to 0
+    [[1.0], [1.0], [1.0], [1.0], [2.0]],  # zero median
+    [[-1e308], [1e308], [1e308]],  # the distances overflow
+], ids=["subnormal", "underflow", "zero", "overflow"])
+def test_the_reference_sigma_rejects_what_the_library_rejects(X):
+    X, config = np.array(X), GraphConfig()
+    err = _same_error(lambda: estimate_sigma(X, config), lambda: reference_sigma(X, config))
+    assert isinstance(err, DataError)
+
+
+@pytest.mark.parametrize("far", [0, 4])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_the_reference_graph_rejects_a_k_th_distance_that_overflows(k, far):
+    # one row lies an infinite squared distance from every other, so its
+    # list would reach its own infinite diagonal; first in X, it would be
+    # listed as its own neighbour at weight 1
+    X = np.insert(np.array([[0.0], [0.0], [1.0], [2.0]]), far, 1e300, axis=0)
+    config = GraphConfig(k=k, sigma=1.0)
+    err = _same_error(lambda: build_knn_graph(X, config), lambda: reference_knn_graph(X, config))
+    assert isinstance(err, DataError) and "overflows" in str(err)

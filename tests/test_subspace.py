@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from masc import subspace
 from masc.data import DataError
 from masc.evaluate import CLASSIFIERS, make_classifier
 from scipy.spatial.distance import cdist, pdist, squareform
@@ -21,7 +24,7 @@ from masc.subspace import (
     pca_subspace,
     principal_angles,
 )
-from oracles import linear_kernel
+from oracles import linear_kernel, reference_kpca_gram
 
 
 def random_orthonormal(rng, d, q):
@@ -323,6 +326,105 @@ class TestGramCores:
         K = gaussian_weights(1.0)(squareform(pdist(X, "sqeuclidean")))
         with pytest.raises(DataError, match="non-positive retained kernel eigenvalue"):
             kpca_gram(K, 2)
+
+
+class TestSubsetSolve:
+    """kpca_gram solves for its q leading eigenpairs alone; the oracle
+    decomposes the whole centred Gram and keeps q."""
+
+    @pytest.mark.parametrize("n,q", [(2, 1), (12, 3), (100, 9), (151, 9), (40, 39)])
+    def test_leading_pairs_match_the_full_solve(self, n, q):
+        rng = np.random.default_rng(n + q)
+        X = rng.normal(size=(n, 6)) * [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        K = gaussian_weights(3.0)(squareform(pdist(X, "sqeuclidean")))
+        got, want = kpca_gram(K, q), reference_kpca_gram(K, q)
+        assert got.col_means.tobytes() == want.col_means.tobytes()
+        assert got.grand_mean == want.grand_mean
+        np.testing.assert_allclose(got.eigenvalues, want.eigenvalues, rtol=1e-12, atol=0)
+        # the basis up to rounding: scaled back to unit eigenvectors
+        np.testing.assert_allclose(got.coeffs * np.sqrt(got.eigenvalues),
+                                   want.coeffs * np.sqrt(want.eigenvalues), rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("n,q", [(8, 1), (21, 2), (26, 2), (34, 4), (40, 3)])
+    def test_a_split_cluster_of_equal_eigenvalues_is_solved(self, n, q):
+        # the centred identity, the Gram of a set whose kernel values all
+        # underflow to 0, has n - 1 eigenvalues of exactly 1; at these
+        # sizes LAPACK's selected solve has found fewer than q of them
+        fit = kpca_gram(np.eye(n), q)
+        np.testing.assert_allclose(fit.eigenvalues, np.ones(q), rtol=1e-14)
+        np.testing.assert_allclose(fit.coeffs.T @ fit.coeffs, np.eye(q), atol=1e-14)
+
+    @pytest.mark.parametrize("failure", ["short", "error"])
+    def test_a_failed_selected_solve_gives_the_full_solve(self, monkeypatch, failure):
+        real = scipy.linalg.eigh
+
+        def failing(a, *args, **kwargs):
+            if "subset_by_index" not in kwargs:
+                return real(a, *args, **kwargs)
+            if failure == "error":
+                raise np.linalg.LinAlgError("Internal Error.")
+            vals, vecs = real(a, *args, **kwargs)
+            return vals[1:], vecs[:, 1:]
+
+        monkeypatch.setattr(subspace.scipy.linalg, "eigh", failing)
+        X = np.random.default_rng(24).normal(size=(20, 4))
+        K = gaussian_weights(2.0)(squareform(pdist(X, "sqeuclidean")))
+        got, want = kpca_gram(K, 5), reference_kpca_gram(K, 5)
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
+        assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+
+    @staticmethod
+    def repeated_rows_gram(r, extra, d, scale, offset, width, seed):
+        """r distinct rows, repeated as ``extra`` lists, and their Gaussian
+        Gram at half the median distance (``width`` None) or at 10**width
+        times the largest distance; returns the distinct rows and the Gram."""
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(r, d)) * 10.0**scale + rng.normal(size=d) * 10.0**offset
+        X = rows[rng.permutation(np.r_[np.arange(r), np.array(extra, dtype=int) % r])]
+        d2 = pdist(X, "sqeuclidean")
+        median = float(np.median(np.sqrt(d2)))
+        if width is None and median > 0:
+            sigma = median / 2.0
+        else:
+            sigma = math.sqrt(float(d2.max())) * 10.0 ** (width or 0.0) or 1.0
+        return rows, gaussian_weights(sigma)(squareform(d2))
+
+    @given(r=st.integers(1, 5), extra=st.lists(st.integers(0, 4), min_size=1, max_size=30),
+           d=st.integers(1, 6), scale=st.floats(-3, 3), offset=st.floats(-3, 4),
+           width=st.one_of(st.none(), st.floats(-1.5, 4)), above=st.integers(0, 3),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_repeated_rows_are_rejected_by_both_solves(self, r, extra, d, scale, offset,
+                                                       width, above, seed):
+        # r distinct rows span r - 1 dimensions once centred in feature
+        # space, so at q >= r a retained eigenvalue is 0 in exact
+        # arithmetic, whatever the width: a wide kernel makes every entry
+        # near 1 and the centred matrix tiny, a narrow one near the identity
+        _, K = self.repeated_rows_gram(r, extra, d, scale, offset, width, seed)
+        q = min(r + above, len(K) - 1)  # at least r: the set repeats some row
+        for fit in (kpca_gram, reference_kpca_gram):
+            with pytest.raises(DataError, match="non-positive retained kernel eigenvalue"):
+                fit(K, q)
+
+    @given(r=st.integers(2, 8), extra=st.lists(st.integers(0, 7), max_size=30),
+           d=st.integers(1, 6), scale=st.floats(-3, 3), offset=st.floats(-3, 4),
+           width=st.one_of(st.none(), st.floats(-1.5, 4)), q=st.integers(1, 6),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_well_separated_rows_clear_the_floor_by_a_wide_margin(self, r, extra, d, scale,
+                                                                  offset, width, q, seed):
+        # the same sets and widths, but with q < r distinct rows whose
+        # centred span is well conditioned in its q leading directions. Under
+        # the widest kernel the q-th eigenvalue follows the linear term of
+        # exp(-d²/2σ²), about s_q²/σ², and still lies more than 5000 times
+        # above the floor in 20 000 random draws; a floor set a thousandfold
+        # too high fails here
+        rows, K = self.repeated_rows_gram(r, extra, d, scale, offset, width, seed)
+        q = min(q, r - 1, d)
+        s = np.linalg.svd(rows - rows.mean(axis=0), compute_uv=False)
+        assume(s[q - 1] >= 0.3 * s[0])
+        for fit in (kpca_gram(K, q), reference_kpca_gram(K, q)):
+            assert fit.eigenvalues[-1] > 1000 * subspace._rank_floor(K, fit.eigenvalues[0])
 
 
 @pytest.mark.parametrize("name", CLASSIFIERS)
