@@ -11,19 +11,20 @@ import numpy as np
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from .data import DataError, resample_set
-from .graph import GalleryIndex, GraphConfig, _check_width, _underflow, build_knn_graph
+from .graph import (
+    GalleryIndex,
+    GraphConfig,
+    _check_width,
+    _CrossBlock,
+    _median_sigma,
+    _underflow,
+    build_knn_graph,
+    gaussian_weights,
+)
 from .labelprop import lp_votes
 from .smoothing import masc_classify, one_hot_labels
-from .statdist import GaussianModel, fit_gaussian, symmetric_kl
-from .statdist import kl_gaussian  # noqa: F401  perfbench's tracer tests patch it here
-from .subspace import (
-    PCAFit,
-    gaussian_weights,
-    gram_kmsm_similarity,
-    kpca_gram,
-    msm_similarity,
-    pca_fit,
-)
+from .statdist import GaussianModel, fit_gaussian, kl_gaussian
+from .subspace import PCAFit, gram_kmsm_similarity, kpca_gram, msm_similarity, pca_fit
 
 CLASSIFIERS = ("masc", "lp", "msm", "kmsm", "kld")
 
@@ -252,21 +253,19 @@ def make_classifier(name: str, *, k: int = 5, sigma: float | None = None,
         def classify(train_sets, observations):
             gallery, obs = _query(train_sets, observations, fits_sets=True)
             q_eff = _subspace_q(q, gallery.sets, obs)
-            # one m x l block of exact distances serves sigma and every
-            # class's cross kernel
-            C = cdist(obs, gallery.X, "sqeuclidean")
+            # one l x m block of exact distances serves sigma and, row block
+            # by row block, every class's cross kernel
+            C = cdist(gallery.X, obs, "sqeuclidean")
             Pc = pdist(obs, "sqeuclidean")
             skern = sigma_kernel
             if skern is None:
-                skern = gallery.sigma(C, Pc, graph_config)
+                skern = _median_sigma(gallery, _CrossBlock(gallery.X, C.T), Pc, graph_config)
             weights = gaussian_weights(skern)
             test = _kernel_fit("observation set", weights(squareform(Pc)), q_eff)
             sims, a, reached = [], 0, np.zeros(obs.shape[0], dtype=bool)
             for p, (ts, P) in enumerate(zip(gallery.sets, gallery.class_distances()), start=1):
                 fit = _kernel_fit(f"class {p}", weights(squareform(P)), q_eff)
-                # made contiguous, the slice is cdist(class, obs) bit for
-                # bit, in the memory layout its row and column means need
-                Kab = weights(np.ascontiguousarray(C[:, a:a + len(ts)].T))
+                Kab = weights(C[a:a + len(ts)])  # cdist(class, obs), C-contiguous
                 reached |= Kab.any(axis=0)
                 sims.append(gram_kmsm_similarity(Kab, fit, test))
                 a += len(ts)
@@ -274,7 +273,7 @@ def make_classifier(name: str, *, k: int = 5, sigma: float | None = None,
             if lost.size:  # no gallery row's kernel reaches this observation
                 i = lost[0]
                 raise _underflow(f"kernel value between observation {i + 1} and a gallery row",
-                                 "sigma_kernel", skern, C[i].min(), sigma_kernel is not None)
+                                 "sigma_kernel", skern, C[:, i].min(), sigma_kernel is not None)
             decision, tie = _decide(sims, np.argmax)
             return Decision(decision, tuple(sims), tie)
 
@@ -285,7 +284,7 @@ def make_classifier(name: str, *, k: int = 5, sigma: float | None = None,
             models = gallery.gaussians(energy_cutoff)
             # a divergence that overflows reads inf, or NaN from inf - inf
             with np.errstate(over="ignore", invalid="ignore"):
-                scores = [symmetric_kl(test, mdl) for mdl in models]
+                scores = [0.5 * (kl_gaussian(test, mdl) + kl_gaussian(mdl, test)) for mdl in models]
             far = np.flatnonzero(~np.isfinite(scores))
             if far.size:
                 raise DataError(f"class {far[0] + 1}'s divergence from the observation set"
@@ -455,6 +454,8 @@ def random_split_errors(gallery, classifier, train_count: int, trials: int,
     sets = [np.asarray(xs, dtype=float) for xs in gallery]
     if train_count < 1:
         raise ValueError("train_count >= 1 required")
+    if trials < 1:
+        raise ValueError("trials >= 1 required")
     for p, xs in enumerate(sets, start=1):
         if xs.shape[0] <= train_count:
             raise ValueError(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy import sparse
@@ -46,6 +47,23 @@ def _check_width(name: str, sigma: float) -> None:
     if not np.finfo(float).tiny <= 2.0 * s * s < math.inf:
         raise ValueError(f"{name} {s!r} is out of range:"
                          " 2*sigma*sigma must be a positive normal float")
+
+
+def gaussian_weights(sigma: float) -> Callable[[np.ndarray], np.ndarray]:
+    """exp(-d2 / (2 sigma^2)) of an array of squared distances d2, as a
+    callable: the graph's edge weights and kmsm's kernel values."""
+    if not sigma > 0:
+        raise ValueError("sigma must be > 0")
+    sigma = float(sigma)
+    # a product, not sigma ** 2: pow may round one ulp off, and then the
+    # kernel of 2^j X with 2^j sigma is no longer bitwise that of X
+    s2 = 2.0 * sigma * sigma
+
+    def weights(d2):
+        with np.errstate(over="ignore"):  # -inf, whose exp is the 0 it underflows to
+            return np.exp(-d2 / s2)
+
+    return weights
 
 
 def _underflow(what: str, name: str, sigma: float, d2: float, given: bool) -> ValueError:
@@ -232,18 +250,6 @@ class GalleryIndex:
                 e = (2 * d + 16) * _U * s2 + 8 * (d + 1) * 2.0 ** -1074
                 return _CrossBlock(self.X, G, obs, e)
         return _CrossBlock(self.X, cdist(obs, self.X, "sqeuclidean"))
-
-    def sigma(self, C, Pc, config: GraphConfig = GraphConfig()) -> float:
-        """The median-heuristic sigma of the gallery rows stacked on m
-        observations, from their exact squared distances: the m x l block
-        ``C`` (``cdist`` of the observations and the gallery rows) and the
-        condensed ``Pc`` (``pdist`` of the observations).
-
-        A caller that needs the whole block anyway (kmsm's cross kernels)
-        passes it here; :func:`build_knn_graph` takes the estimate of
-        :meth:`cross` instead.
-        """
-        return _median_sigma(self, _CrossBlock(self.X, C), Pc, config)
 
 
 class _CrossBlock:
@@ -530,9 +536,7 @@ def build_knn_graph(X, config: GraphConfig = GraphConfig(),
     # the keys are sorted row-major, so they are H's CSR layout as they stand
     indptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
-    with np.errstate(over="ignore"):  # -inf, whose exp is the 0 it underflows to
-        vals = np.exp(-d2 / (2.0 * sigma * sigma))
-    H = sparse.csr_matrix((vals, keys % n, indptr), shape=(n, n))
+    H = sparse.csr_matrix((gaussian_weights(sigma)(d2), keys % n, indptr), shape=(n, n))
     degrees = np.asarray(H.sum(axis=1)).ravel()
     dead = np.flatnonzero(degrees == 0)
     if dead.size:  # its nearest neighbour heads its list

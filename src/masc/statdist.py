@@ -152,6 +152,3 @@ def kl_gaussian(g1: GaussianModel, g2: GaussianModel) -> float:
     maha = float(delta @ delta) / s2.fill + float(b2 @ (proj * proj))
     return 0.5 * (trace_term + maha - d + s2.logdet() - s1.logdet())
 
-
-def symmetric_kl(g1: GaussianModel, g2: GaussianModel) -> float:
-    return 0.5 * (kl_gaussian(g1, g2) + kl_gaussian(g2, g1))

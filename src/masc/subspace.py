@@ -10,6 +10,7 @@ import scipy.linalg
 from scipy.spatial.distance import cdist
 
 from .data import DataError
+from .graph import gaussian_weights
 
 
 @dataclass(frozen=True)
@@ -94,9 +95,8 @@ class PCAFit:
 
 
 def pca_fit(X, keep: int | None = None) -> PCAFit:
-    """Thin SVD of the centered set, the Gram-side eigenproblem when the set
-    is smaller than the dimension; ``keep`` keeps only that many leading
-    directions.
+    """Thin SVD (``np.linalg.svd``) of the centered set, whatever its shape;
+    ``keep`` keeps only that many leading directions.
 
     The fit's ``rank`` counts every singular value above max(n, d)·eps times
     the largest, numpy's ``matrix_rank`` tolerance, kept or not.
@@ -142,23 +142,6 @@ def msm_similarity(a, b) -> float:
     A, B = _basis(a), _basis(b)
     cos = np.clip(scipy.linalg.svd(A.T @ B, compute_uv=False), 0.0, 1.0)
     return float(cos[0] * cos[0])
-
-
-def gaussian_weights(sigma: float) -> Callable[[np.ndarray], np.ndarray]:
-    """exp(-d2 / (2 sigma^2)) of an array of squared distances d2, as a
-    callable."""
-    if not sigma > 0:
-        raise ValueError("sigma_kernel must be > 0")
-    sigma = float(sigma)
-    # a product, not sigma ** 2: pow may round one ulp off, and then the
-    # kernel of 2^j X with 2^j sigma is no longer bitwise that of X
-    s2 = 2.0 * sigma * sigma
-
-    def weights(d2):
-        with np.errstate(over="ignore"):  # -inf, whose exp is the 0 it underflows to
-            return np.exp(-d2 / s2)
-
-    return weights
 
 
 def gaussian_kernel(sigma: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
@@ -274,12 +257,6 @@ def gram_kmsm_similarity(Kab, a: KernelFit, b: KernelFit) -> float:
     cross kernel block ``Kab`` (see :func:`gram_principal_angles`)."""
     cos = np.cos(gram_principal_angles(Kab, a, b))
     return float(cos[0] * cos[0])
-
-
-def kernel_principal_angles(a: KernelSubspace, b: KernelSubspace) -> np.ndarray:
-    """:func:`gram_principal_angles` of the cross kernel block of a's and b's
-    samples."""
-    return gram_principal_angles(a.kernel(a.samples, b.samples), a, b)
 
 
 def kmsm_similarity(a: KernelSubspace, b: KernelSubspace) -> float:

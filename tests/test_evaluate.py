@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from masc import graph, labelprop
@@ -165,6 +165,13 @@ class TestSessionProtocols:
         gallery = [np.zeros((5, 2)), np.ones((5, 2))]
         with pytest.raises(ValueError, match="needs more than"):
             random_split_errors(gallery, make_classifier("kld"), 5, 1, 0)
+
+    def test_split_needs_a_trial(self):
+        # the protocols' one message, not error_rate's about no decisions
+        gallery = [np.zeros((5, 2)), np.ones((5, 2))]
+        for trials in (0, -1):
+            with pytest.raises(ValueError, match=r"trials >= 1 required"):
+                random_split_errors(gallery, make_classifier("kld"), 4, trials, 0)
 
 
 _CLEAN = [np.random.default_rng(0).normal(size=(6, 3)) + 4.0 * p for p in range(3)]
@@ -493,11 +500,72 @@ _ODD_VALUES = st.sampled_from([0.0, 1.0, -1.0, 2.5, 1e-8, 1e-300, 5e-324, 1e150,
 @settings(max_examples=60, deadline=None)
 def test_every_classifier_decides_or_rejects_small_degenerate_queries(c, d, k, sigma,
                                                                       sigma_kernel, data):
-    rows = st.lists(st.lists(_ODD_VALUES, min_size=d, max_size=d), min_size=1, max_size=5)
+    # up to 11 rows, so kmsm builds Grams of n >= 8, where kpca_gram's
+    # subset solve can come up short and the full eigh takes over
+    rows = st.lists(st.lists(_ODD_VALUES, min_size=d, max_size=d), min_size=1, max_size=11)
     train = [np.array(data.draw(rows, label=f"class {p}")) for p in range(1, c + 1)]
     obs = np.array(data.draw(rows, label="observations"))
     for name in CLASSIFIERS:
         _decides_or_rejects(name, train, obs, k=k, sigma=sigma, sigma_kernel=sigma_kernel)
+
+
+def _graph_outcome(name, train, obs, k, sigma, cap):
+    """masc's or lp's (decision, tie, scores) from the dense oracles, or the
+    (type, message) of the error they raise."""
+    m = len(obs)
+    Y_l = one_hot_labels(np.repeat(np.arange(1, len(train) + 1), [len(ts) for ts in train]),
+                         len(train))
+    try:
+        g = reference_knn_graph(np.vstack(train + [obs]),
+                                GraphConfig(k=k, sigma=sigma, sigma_sample_cap=cap))
+    except ValueError as exc:  # DataError included
+        return type(exc), str(exc)
+    if name == "masc":
+        res = masc_classify(g.S, Y_l, m)
+        return res.decision, res.tie, tuple(float(v) for v in res.scores)
+    votes = reference_lp_votes(g.S, Y_l, m)
+    best = int(np.argmax(votes))
+    return (best + 1, int(np.count_nonzero(votes == votes[best])) > 1,
+            tuple(float(v) / m for v in votes))
+
+
+@given(l=st.integers(200, 450), c=st.integers(2, 4), d=st.integers(2, 16),
+       m=st.integers(2, 30), k=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
+       duplicates=st.integers(0, 60), scaled=st.integers(0, 4),
+       offset=st.sampled_from([0.0, 1e3, 1e6]),
+       width=st.sampled_from([None, None, None, 0.05, 0.5, 4.0]),
+       cap=st.sampled_from([1000, 1000, 150]))
+@example(l=300, c=3, d=8, m=30, k=5, seed=0, duplicates=20, scaled=2, offset=1e3, width=None,
+         cap=1000)
+@settings(max_examples=50, deadline=None)
+def test_every_classifier_on_galleries_where_the_fast_paths_run(l, c, d, m, k, seed, duplicates,
+                                                                 scaled, offset, width, cap):
+    # l >= 200 rows run the GEMM distance filter and n = l + m >= 272 nodes
+    # lp's CG solve, at their own thresholds; clusters of Gaussian rows with
+    # repeated rows, rows scaled by 2^j and an offset far larger than the
+    # spread, under the median heuristic's width (from a subsample of all
+    # n rows or of 150) or a fixed one
+    rng = np.random.default_rng(seed)
+    sizes = 2 + rng.multinomial(l - 2 * c, np.full(c, 1.0 / c))
+    centres = 3.0 * rng.normal(size=(c + 1, d))
+    X = np.vstack([rng.normal(size=(size, d)) + centre for size, centre in zip(sizes, centres)]
+                  + [rng.normal(size=(m, d)) + centres[rng.integers(0, c + 1)]])
+    X[rng.integers(0, l + m, size=duplicates)] = X[rng.integers(0, l + m, size=duplicates)]
+    powers = rng.choice([-6, -3, -1, 1, 3, 6], size=(scaled, 1))
+    X[rng.integers(0, l + m, size=scaled)] *= 2.0 ** powers
+    X += offset
+    train, obs = np.split(X, np.cumsum(sizes))[:-1], X[l:]
+    for name in CLASSIFIERS:
+        _decides_or_rejects(name, train, obs, k=k, sigma=width, sigma_kernel=width,
+                            sigma_sample_cap=cap)
+    for name in ("masc", "lp"):
+        want = _graph_outcome(name, train, obs, k, width, cap)
+        try:
+            got = make_classifier(name, k=k, sigma=width, sigma_sample_cap=cap)(train, obs)
+        except ValueError as exc:
+            assert (type(exc), str(exc)) == want, name
+        else:
+            assert (got.decision, got.tie, got.scores) == want, name
 
 
 @pytest.mark.parametrize("name", CLASSIFIERS)

@@ -67,7 +67,8 @@ def filtered_sigma(index, obs, config):
 def exact_sigma(index, obs, config):
     """The median sigma from the exact cross block, as kmsm takes it."""
     obs = np.asarray(obs, dtype=float)
-    return index.sigma(cdist(obs, index.X, "sqeuclidean"), pdist(obs, "sqeuclidean"), config)
+    cross = graph._CrossBlock(index.X, cdist(index.X, obs, "sqeuclidean").T)
+    return graph._median_sigma(index, cross, pdist(obs, "sqeuclidean"), config)
 
 
 def both_sigmas(index, obs, config):
@@ -793,8 +794,8 @@ def test_a_warm_kmsm_query_computes_each_distance_once(monkeypatch):
     del calls[:]
     for shift in (0.0, 0.25):
         classify(sets, obs + shift)
-        # one m x l block and the observations' own distances, nothing else
-        assert calls == [("cdist", (12, 240)), ("pdist", (66,))]
+        # one l x m block and the observations' own distances, nothing else
+        assert calls == [("cdist", (240, 12)), ("pdist", (66,))]
         del calls[:]
 
 

@@ -16,7 +16,6 @@ from masc.subspace import (
     gaussian_weights,
     gram_kmsm_similarity,
     gram_principal_angles,
-    kernel_principal_angles,
     kmsm_similarity,
     kpca_gram,
     kpca_subspace,
@@ -271,7 +270,7 @@ class TestKmsm:
         kernel = gaussian_kernel(1.2)
         a = kpca_subspace(X, 3, kernel=kernel)
         b = kpca_subspace(X.copy(), 3, kernel=kernel)
-        assert np.max(kernel_principal_angles(a, b)) <= 1e-6
+        assert np.max(gram_principal_angles(kernel(a.samples, b.samples), a, b)) <= 1e-6
 
     def test_large_sigma_matches_msm(self):
         rng = np.random.default_rng(19)
@@ -304,8 +303,6 @@ class TestGramCores:
                 assert got.col_means.tobytes() == want.col_means.tobytes()
                 assert got.grand_mean == want.grand_mean
             Kab = weights(np.ascontiguousarray(cdist(obs, X, "sqeuclidean").T))
-            assert gram_principal_angles(Kab, fa, fb).tobytes() == \
-                kernel_principal_angles(a, b).tobytes()
             assert gram_kmsm_similarity(Kab, fa, fb) == kmsm_similarity(a, b)
 
     @pytest.mark.parametrize("d", [1, 5, 256, 257])
@@ -319,6 +316,22 @@ class TestGramCores:
         for n in sizes:
             block = np.ascontiguousarray(C[:, a:a + n].T)
             assert block.tobytes() == cdist(X[a:a + n], obs, "sqeuclidean").tobytes()
+            a += n
+
+    @pytest.mark.parametrize("d", [1, 5, 256, 257])
+    def test_row_blocks_of_one_block_are_the_class_blocks(self, d):
+        # kmsm's l x m block: its row blocks are the classes' cross blocks,
+        # C-contiguous, and its transpose is the m x l block sigma reads
+        rng = np.random.default_rng(40 + d)
+        sizes = (2, 9, 30, 1, 17)
+        X = rng.normal(size=(sum(sizes), d)) * 4.1 - 50.0
+        obs = rng.normal(size=(13, d)) * 4.1 - 49.0
+        C = cdist(X, obs, "sqeuclidean")
+        assert np.ascontiguousarray(C.T).tobytes() == cdist(obs, X, "sqeuclidean").tobytes()
+        a = 0
+        for n in sizes:
+            assert C[a:a + n].flags.c_contiguous
+            assert C[a:a + n].tobytes() == cdist(X[a:a + n], obs, "sqeuclidean").tobytes()
             a += n
 
     def test_too_thin_a_gram_is_a_data_error(self):
